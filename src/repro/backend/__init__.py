@@ -2,8 +2,8 @@
 
 ``Backend`` (``ingest`` / ``snapshot`` / ``query`` / ``close``) is the
 single driver surface for the sequential baseline, the simulated CoTS
-framework, the native-thread shards, both multiprocess modes (sharded
-and one-table) and the sketch engines; :mod:`repro.backend.algebra`
+framework, both multiprocess modes (sharded and one-table) and the
+vectorized sketch engines; :mod:`repro.backend.algebra`
 gives their summaries a uniform serialize/merge/widen algebra so any
 backend's answer composes with any other's.
 
@@ -16,9 +16,7 @@ backend's answer composes with any other's.
 from repro.backend.adapters import (
     CotsSimBackend,
     MPBackend,
-    NativeThreadsBackend,
     SequentialBackend,
-    SketchCMBackend,
     SketchCMVecBackend,
     SketchCSVecBackend,
 )
@@ -32,7 +30,6 @@ from repro.backend.algebra import (
 from repro.backend.base import Backend, Snapshot
 from repro.backend.registry import (
     BACKEND_NAMES,
-    MERGED_BACKENDS,
     SKETCH_BACKENDS,
     create_backend,
 )
@@ -41,12 +38,9 @@ __all__ = [
     "BACKEND_NAMES",
     "Backend",
     "CotsSimBackend",
-    "MERGED_BACKENDS",
     "MPBackend",
-    "NativeThreadsBackend",
     "SKETCH_BACKENDS",
     "SequentialBackend",
-    "SketchCMBackend",
     "SketchCMVecBackend",
     "SketchCSVecBackend",
     "Snapshot",

@@ -13,9 +13,8 @@ Two engine families need a note:
   ingested batches and re-runs the driver per snapshot.  That is the
   honest cost of querying a simulation mid-stream; the conformance
   tests treat it like any other backend.
-* **Sketch adapters** (``sketch-cm``, ``sketch-cm-vec``,
-  ``sketch-cs-vec``): a pure sketch cannot enumerate keys, so the
-  vectorized adapters pair the table with a bounded Space Saving
+* **Sketch adapters** (``sketch-cm-vec``, ``sketch-cs-vec``): a pure
+  sketch cannot enumerate keys, so the adapters pair the table with a bounded Space Saving
   *candidate identifier* fed from each chunk's heaviest codes (the same
   scheme the one-table pool uses).  Every reported count is read from
   the sketch table; the identifier only chooses *which* keys to report.
@@ -148,45 +147,8 @@ class CotsSimBackend(_Instrumented):
         return self._run().counter.estimate(element)
 
 
-class NativeThreadsBackend(_Instrumented):
-    """Real-thread Independent Structures (per-thread shard + merge)."""
-
-    name = "native-threads"
-
-    def __init__(
-        self, capacity: int = 256, threads: int = 4, metrics=None
-    ) -> None:
-        super().__init__(metrics)
-        from repro.native.sharded import ShardedSpaceSaving
-
-        self._sharded = ShardedSpaceSaving(
-            threads=threads, capacity=capacity
-        )
-
-    def ingest(self, batch: Sequence[Element]) -> int:
-        self._ensure_open()
-        self._sharded.count(list(batch))
-        return self._meter_ingest(len(batch))
-
-    def snapshot(self) -> Snapshot:
-        started = time.perf_counter()
-        merged = self._sharded.merged()
-        snap = Snapshot(
-            scheme=self.name,
-            processed=merged.processed,
-            entries=merged.entries(),
-            error_bound=merged.max_error(),
-            extras={"threads": self._sharded.threads},
-        )
-        self._m_snapshot_seconds.observe(time.perf_counter() - started)
-        return snap
-
-    def estimate(self, element: Element) -> int:
-        return self._sharded.merged().estimate(element)
-
-
 class MPBackend(_Instrumented):
-    """Multiprocess pools (sharded shm/pickle and one-table) as backends."""
+    """Multiprocess pools (sharded and one-table) as backends."""
 
     def __init__(self, config, name: str, metrics=None) -> None:
         super().__init__(metrics)
@@ -243,49 +205,6 @@ class MPBackend(_Instrumented):
         if not self._closed:
             self._pool.close()
         super().close()
-
-
-class SketchCMBackend(_Instrumented):
-    """Scalar Count-Min behind the protocol (the differential reference)."""
-
-    name = "sketch-cm"
-
-    def __init__(
-        self,
-        capacity: int = 256,
-        epsilon: float = 0.001,
-        delta: float = 0.01,
-        seed: Optional[int] = 0,
-        metrics=None,
-    ) -> None:
-        super().__init__(metrics)
-        self._sketch = CountMinSketch(
-            epsilon=epsilon, delta=delta, seed=seed,
-            track_candidates=capacity,
-        )
-
-    def ingest(self, batch: Sequence[Element]) -> int:
-        self._ensure_open()
-        self._sketch.process_many(batch)
-        return self._meter_ingest(len(batch))
-
-    def snapshot(self) -> Snapshot:
-        started = time.perf_counter()
-        snap = Snapshot(
-            scheme=self.name,
-            processed=self._sketch.processed,
-            entries=self._sketch.entries(),
-            error_bound=self._sketch.error_bound(),
-            extras={
-                "depth": self._sketch.depth,
-                "width": self._sketch.width,
-            },
-        )
-        self._m_snapshot_seconds.observe(time.perf_counter() - started)
-        return snap
-
-    def estimate(self, element: Element) -> int:
-        return self._sketch.estimate(element)
 
 
 class _VectorSketchBackend(_Instrumented):

@@ -1,8 +1,9 @@
-"""Name -> Backend factory registry (the one switchboard).
+"""Name -> Backend factory registry.
 
-Every layer that lets a user pick a counting engine — ``scenarios
---backend``, the bench suites, the conformance tests — resolves the
-name here, so adding a backend is one entry, not four call sites.
+The serve tier (``serve`` / ``serve-bench --backend``) and the
+conformance tests resolve engine names here.  The scenario matrix keeps
+its own table (:data:`repro.scenarios.runner.BACKENDS`): it calls
+``run_mp`` and ``run_cots`` directly, not this protocol.
 
 Factories take one uniform keyword set and ignore what they don't use
 (a sequential counter has no ``workers``); that keeps the call sites
@@ -16,9 +17,7 @@ from typing import Optional
 from repro.backend.adapters import (
     CotsSimBackend,
     MPBackend,
-    NativeThreadsBackend,
     SequentialBackend,
-    SketchCMBackend,
     SketchCMVecBackend,
     SketchCSVecBackend,
 )
@@ -29,23 +28,15 @@ from repro.errors import ConfigurationError
 BACKEND_NAMES = (
     "sequential",
     "cots-sim",
-    "native-threads",
     "mp-shm",
-    "mp-pickle",
     "mp-one-table",
-    "sketch-cm",
     "sketch-cm-vec",
     "sketch-cs-vec",
 )
 
-#: names whose summaries carry merge semantics (absence of a light
-#: element is allowed within the merged error bound)
-MERGED_BACKENDS = ("cots-sim", "native-threads", "mp-shm", "mp-pickle")
-
 #: names whose summaries are sketch reads (estimates upper-bound truth
 #: under a widened eps*N bound; recall is delegated to a candidate set)
-SKETCH_BACKENDS = ("mp-one-table", "sketch-cm", "sketch-cm-vec",
-                   "sketch-cs-vec")
+SKETCH_BACKENDS = ("mp-one-table", "sketch-cm-vec", "sketch-cs-vec")
 
 
 def create_backend(
@@ -64,7 +55,7 @@ def create_backend(
     """Build a started backend by registry name.
 
     ``capacity`` budgets the counter/candidate set everywhere;
-    ``threads`` drives the simulated and native-thread engines;
+    ``threads`` drives the simulated engine;
     ``workers``/``chunk_elements``/``timeout`` the multiprocess pools;
     ``epsilon``/``delta``/``seed`` the sketch tables.  Unknown names
     raise :class:`~repro.errors.ConfigurationError` listing the
@@ -76,11 +67,7 @@ def create_backend(
         return CotsSimBackend(
             capacity=capacity, threads=threads, metrics=metrics
         )
-    if name == "native-threads":
-        return NativeThreadsBackend(
-            capacity=capacity, threads=threads, metrics=metrics
-        )
-    if name in ("mp-shm", "mp-pickle", "mp-one-table"):
+    if name in ("mp-shm", "mp-one-table"):
         from repro.mp.config import MPConfig
 
         config = MPConfig(
@@ -88,18 +75,12 @@ def create_backend(
             capacity=capacity,
             chunk_elements=chunk_elements,
             timeout=timeout,
-            transport="pickle" if name == "mp-pickle" else "shm",
             mode="one_table" if name == "mp-one-table" else "sharded",
             sketch_epsilon=epsilon,
             sketch_delta=delta,
             sketch_seed=seed,
         )
         return MPBackend(config, name=name, metrics=metrics)
-    if name == "sketch-cm":
-        return SketchCMBackend(
-            capacity=capacity, epsilon=epsilon, delta=delta, seed=seed,
-            metrics=metrics,
-        )
     if name == "sketch-cm-vec":
         return SketchCMVecBackend(
             capacity=capacity, epsilon=epsilon, delta=delta, seed=seed,

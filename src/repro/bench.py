@@ -33,8 +33,8 @@ Three suites (``--suite``):
 * ``scenarios`` (→ ``BENCH_scenarios.json``) — the *accuracy* matrix:
   every scenario in :mod:`repro.scenarios` (drift, flash crowds, hot-set
   churn, and the two adversaries) counted by every backend (sequential
-  batched, simulated CoTS, mp on both transports), scored against exact
-  ground truth.  Gated on zero guarantee violations, never on timing;
+  batched, simulated CoTS, the mp pools and the sketch lane), scored
+  against exact ground truth.  Gated on zero guarantee violations, never on timing;
   see docs/scenarios.md.
 
 Every result entry also records ``peak_rss_kb`` — the process-tree
@@ -477,12 +477,6 @@ def _bench_mp(params: Dict[str, Any]) -> List[Dict[str, Any]]:
     asserts the merged answer is within the documented Space Saving
     merge error bounds of the sequential batched baseline (see
     :func:`repro.mp.driver.summaries_equivalent`).
-
-    The ladder runs *both* data planes at every rung: the shm transport
-    keeps the historical ``mp-sharded-<N>w`` names (so trajectory diffs
-    line up across the transport switch), the pickle reference rides
-    along as ``mp-sharded-<N>w-pickle``.  The gap between the two
-    columns is the measured cost of per-item pickling.
     """
     from repro.mp import MPConfig, run_mp, summaries_equivalent
     from repro.workloads.zipf import zipf_stream
@@ -520,39 +514,35 @@ def _bench_mp(params: Dict[str, Any]) -> List[Dict[str, Any]]:
         }
     ]
     for workers in params["workers"]:
-        for transport in ("shm", "pickle"):
-            config = MPConfig(
-                workers=int(workers),
-                capacity=capacity,
-                chunk_elements=int(params["chunk_elements"]),
-                timeout=float(params["timeout"]),
-                transport=transport,
-            )
-            best = None
-            for _ in range(repeats):
-                result = run_mp(stream, config, metrics=MetricsRegistry())
-                if best is None or result.wall_seconds < best.wall_seconds:
-                    best = result
-            suffix = "" if transport == "shm" else "-pickle"
-            entries.append(
-                {
-                    "name": f"mp-sharded-{workers}w{suffix}",
-                    "kind": "mp",
-                    "elements": length,
-                    "workers": int(workers),
-                    "transport": transport,
-                    "wall_seconds": best.wall_seconds,
-                    "startup_seconds": best.startup_seconds,
-                    "throughput_eps": best.throughput,
-                    "speedup_vs_sequential": baseline_secs / best.wall_seconds,
-                    "equivalent": summaries_equivalent(
-                        baseline, best.counter, k=10
-                    ),
-                    "partition_how": config.partition_how,
-                    "peak_rss_kb": _peak_rss_kb(),
-                    "metrics": best.extras.get("metrics") or {},
-                }
-            )
+        config = MPConfig(
+            workers=int(workers),
+            capacity=capacity,
+            chunk_elements=int(params["chunk_elements"]),
+            timeout=float(params["timeout"]),
+        )
+        best = None
+        for _ in range(repeats):
+            result = run_mp(stream, config, metrics=MetricsRegistry())
+            if best is None or result.wall_seconds < best.wall_seconds:
+                best = result
+        entries.append(
+            {
+                "name": f"mp-sharded-{workers}w",
+                "kind": "mp",
+                "elements": length,
+                "workers": int(workers),
+                "wall_seconds": best.wall_seconds,
+                "startup_seconds": best.startup_seconds,
+                "throughput_eps": best.throughput,
+                "speedup_vs_sequential": baseline_secs / best.wall_seconds,
+                "equivalent": summaries_equivalent(
+                    baseline, best.counter, k=10
+                ),
+                "partition_how": config.partition_how,
+                "peak_rss_kb": _peak_rss_kb(),
+                "metrics": best.extras.get("metrics") or {},
+            }
+        )
     return entries
 
 

@@ -198,10 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
     count.add_argument("--workers", type=int, default=1,
                        help="count on N worker processes via the "
                        "multiprocess sharded backend (space-saving only)")
-    count.add_argument("--transport", choices=("shm", "pickle"),
-                       default="shm",
-                       help="mp data plane: shared-memory rings of "
-                       "integer-coded pairs (default) or pickled batches")
 
     simulate = commands.add_parser(
         "simulate",
@@ -334,8 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     scenarios.add_argument(
         "--backend",
-        choices=("sequential", "cots", "mp-shm", "mp-pickle",
-                 "mp-one-table", "sketch-cm-vec"),
+        choices=("sequential", "cots", "mp-shm", "mp-one-table",
+                 "sketch-cm-vec"),
         default="sequential",
         help="counting backend under test; sketch backends are scored "
         "on Count-Min overestimate bounds (default: sequential)",
@@ -385,8 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="counter/candidate budget: the error bound "
                        "is N/capacity (default: 256)")
     serve.add_argument("--threads", type=int, default=4,
-                       help="simulated threads (cots-sim / "
-                       "native-threads backends)")
+                       help="simulated threads (cots-sim backend)")
     serve.add_argument("--workers", type=int, default=2,
                        help="worker processes (mp backends)")
     serve.add_argument("--epsilon", type=float, default=0.001,
@@ -588,12 +583,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         from repro.mp import MPConfig, run_mp
 
         counter = run_mp(
-            stream,
-            MPConfig(
-                workers=args.workers,
-                capacity=args.capacity,
-                transport=args.transport,
-            ),
+            stream, MPConfig(workers=args.workers, capacity=args.capacity)
         ).counter
     else:
         counter = algorithms[args.algorithm]()

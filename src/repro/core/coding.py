@@ -9,12 +9,13 @@ are what the vectorized kernels consume.  It lives in ``core`` so both
 ``core.sketches`` and ``mp`` can import it without a layering cycle;
 :mod:`repro.mp.shm` re-exports it for backward compatibility.
 
-Coding is two-lane: keys that *are* machine-size ints are coded as
-``key << 1`` (even codes, no dictionary, fully vectorizable), every
-other key gets a vocabulary index coded ``(index << 1) | 1`` (odd
-codes).  Vocabulary assignment is dict-insertion-ordered — a pure
-function of the key arrival order, never of ``PYTHONHASHSEED`` — so two
-processes coding the same stream produce identical codes.
+Coding is two-lane: keys that *are* (or compare equal to) machine-size
+ints are coded as ``key << 1`` (even codes, no dictionary, fully
+vectorizable), every other key gets a vocabulary index coded
+``(index << 1) | 1`` (odd codes).  Vocabulary assignment is
+dict-insertion-ordered — a pure function of the key arrival order,
+never of ``PYTHONHASHSEED`` — so two processes coding the same stream
+produce identical codes.
 """
 
 from __future__ import annotations
@@ -32,6 +33,24 @@ INT_CODE_BOUND = 1 << 62
 #: no real code; estimating it is safe (a fresh key's true count is 0
 #: and Count-Min never underestimates).
 SENTINEL_CODE = -1
+
+
+def _int_code(key: Hashable) -> Optional[int]:
+    """Identity code of the machine-size int ``key`` equals, else None.
+
+    ``1.0``, ``True`` and ``numpy.int64(1)`` compare and hash equal to
+    ``1``, so under dict semantics they *are* key ``1`` and must share
+    its even code instead of taking a vocabulary slot of their own.
+    """
+    if isinstance(key, (str, bytes, tuple)):
+        return None
+    try:
+        value = int(key)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if value == key and -INT_CODE_BOUND < value < INT_CODE_BOUND:
+        return value << 1
+    return None
 
 
 class StreamCodec:
@@ -110,9 +129,8 @@ class StreamCodec:
         for slot, (key, count) in enumerate(counts.items()):
             code = lookup.get(key)
             if code is None:
-                if type(key) is int and -INT_CODE_BOUND < key < INT_CODE_BOUND:
-                    code = key << 1
-                else:
+                code = _int_code(key)
+                if code is None:
                     code = (len(rev) << 1) | 1
                     rev.append(key)
                 lookup[key] = code
@@ -126,6 +144,9 @@ class StreamCodec:
             return key << 1
         code = self._codes.get(key)
         if code is None:
+            code = _int_code(key)
+            if code is not None:
+                return code
             code = (len(self._rev) << 1) | 1
             self._rev.append(key)
             self._codes[key] = code
@@ -139,7 +160,8 @@ class StreamCodec:
         """
         if type(key) is int and -INT_CODE_BOUND < key < INT_CODE_BOUND:
             return key << 1
-        return self._codes.get(key)
+        code = self._codes.get(key)
+        return _int_code(key) if code is None else code
 
     def decode(self, code: int) -> Hashable:
         """The key behind one code (exact inverse of encoding)."""

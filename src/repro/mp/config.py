@@ -5,7 +5,7 @@ same (workers, capacity) core, validated the same way, raising the same
 :class:`~repro.errors.ConfigurationError` — so the experiments/CLI layer
 can treat the real-parallelism backend as just another scheme driver.
 The extra knobs are the ones a *process* pool needs and a simulated one
-does not: dispatch chunk size (pickling amortization), partitioning
+does not: dispatch chunk size (IPC amortization), partitioning
 strategy, worker timeout, and the multiprocessing start method.
 """
 
@@ -26,24 +26,13 @@ PARTITION_STRATEGIES = ("hash", "round_robin", "block")
 #: fault-injection hooks understood by the worker loop (testing only)
 FAULTS = ("raise", "exit", "hang")
 
-#: data-plane transports.  ``shm`` (default) pre-aggregates each chunk
-#: into integer-coded (code, weight) pairs and ships them through
-#: per-worker shared-memory ring buffers — compact fixed-width data, no
-#: per-item pickling (see :mod:`repro.mp.shm`).  ``pickle`` is the
-#: original transport (routed batches of raw elements pickled over the
-#: task queues), kept as the fallback and the differential reference:
-#: it preserves exact stream order within each shard, which the
-#: pre-aggregating shm plane intentionally trades away.
-TRANSPORTS = ("shm", "pickle")
-
 #: counting modes.  ``sharded`` (default) gives every worker a private
 #: Space Saving shard merged at query time.  ``one_table`` follows the
 #: "One Table to Count Them All" design: all workers update a single
 #: shared-memory Count-Min table (each worker owns a disjoint column
 #: band, so updates are race-free without locks) and queries read the
 #: table directly — zero merge, at the cost of a widened eps*N bound
-#: (each element only enjoys its band's width).  One-table requires the
-#: shm transport (the table and the rings share the data plane) and
+#: (each element only enjoys its band's width).  One-table requires
 #: hash partitioning (an element's home shard *is* its column band).
 MODES = ("sharded", "one_table")
 
@@ -60,22 +49,18 @@ class MPConfig:
       shard, so at high zipf α that shard carries most of the stream
       (see docs/benchmarks.md on the α = 1.1 presets).
     * ``chunk_elements`` — stream elements read per dispatch chunk;
-      each chunk is split into at most ``workers`` pickled batches.
-      This is the pickling-amortization lever: far smaller values turn
-      a counting run into an IPC benchmark.
+      each chunk is pre-aggregated, integer-coded and split into at
+      most ``workers`` ring segments of up to ``chunk_elements``
+      records.  This is the IPC-amortization lever: far smaller values
+      turn a counting run into a control-message benchmark.
     * ``capacity`` — *per-shard* Space Saving budget; the merged query
       result is built at the same capacity by default.
-    * ``queue_depth`` — pending batches per worker before ``put``
-      blocks: the backpressure that keeps a slow worker from buffering
-      the whole stream in its queue.
+    * ``queue_depth`` — pending control messages per worker before
+      ``put`` blocks (the rings add their own backpressure).
     * ``timeout`` — seconds a blocked dispatch/snapshot waits before
       declaring a worker hung (raises
       :class:`~repro.errors.WorkerTimeoutError` after closing the
       pool).
-    * ``transport`` — the data plane: ``shm`` (shared-memory rings of
-      integer-coded, chunk-pre-aggregated pairs; the fast path) or
-      ``pickle`` (routed raw batches over the queues; exact stream
-      order, kept as fallback/reference).  See :data:`TRANSPORTS`.
     * ``ring_segments`` — shm segments per worker ring; 2 gives double
       buffering (the parent fills one while the worker drains the
       other), more deepens the dispatch pipeline at the cost of
@@ -102,7 +87,6 @@ class MPConfig:
     queue_depth: int = 8             #: pending batches per worker (backpressure)
     start_method: Optional[str] = None  #: fork/spawn/forkserver (None = default)
     fault: Optional[str] = None      #: testing-only fault injection
-    transport: str = "shm"           #: see :data:`TRANSPORTS`
     ring_segments: int = 2           #: shm segments per worker (2 = double buffer)
     mode: str = "sharded"            #: see :data:`MODES`
     beacon_every: int = 32           #: batches between worker telemetry beacons (0 = off)
@@ -145,11 +129,6 @@ class MPConfig:
             raise ConfigurationError(
                 f"fault must be one of {FAULTS} or None, got {self.fault!r}"
             )
-        if self.transport not in TRANSPORTS:
-            raise ConfigurationError(
-                f"transport must be one of {TRANSPORTS}, "
-                f"got {self.transport!r}"
-            )
         if self.ring_segments < 1:
             raise ConfigurationError(
                 f"ring_segments must be >= 1, got {self.ring_segments}"
@@ -171,16 +150,9 @@ class MPConfig:
             raise ConfigurationError(
                 f"sketch_delta must be in (0, 1), got {self.sketch_delta}"
             )
-        if self.mode == "one_table":
-            if self.transport != "shm":
-                raise ConfigurationError(
-                    "mode='one_table' requires transport='shm' (the table "
-                    f"and the rings share the data plane), got "
-                    f"{self.transport!r}"
-                )
-            if self.partition_how != "hash":
-                raise ConfigurationError(
-                    "mode='one_table' requires partition_how='hash' (an "
-                    "element's home shard is its column band), got "
-                    f"{self.partition_how!r}"
-                )
+        if self.mode == "one_table" and self.partition_how != "hash":
+            raise ConfigurationError(
+                "mode='one_table' requires partition_how='hash' (an "
+                "element's home shard is its column band), got "
+                f"{self.partition_how!r}"
+            )

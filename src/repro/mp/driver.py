@@ -90,7 +90,6 @@ def run_mp(
         "partition_how": config.partition_how,
         "chunk_elements": config.chunk_elements,
         "capacity": config.capacity,
-        "transport": config.transport,
         "mode": config.mode,
     }
     try:

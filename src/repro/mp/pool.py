@@ -2,31 +2,23 @@
 
 :class:`ShardedProcessPool` is the repo's first backend with *real*
 wall-clock parallelism: ``workers`` OS processes (no GIL sharing), each
-owning a private Space Saving shard.  Two data planes feed them
-(``config.transport``):
-
-* ``shm`` (default) — the zero-copy plane of :mod:`repro.mp.shm`: each
-  dispatch chunk is pre-aggregated into distinct integer-coded
-  ``(code, weight)`` pairs (one numpy/Counter pass, no per-element
-  Python loop), hash-routed with vectorized numpy ops, and written into
-  per-worker shared-memory ring segments; only a tiny ``("seg", ...)``
-  control message crosses the task queue.  Workers count codes and the
-  parent decodes them against its vocabulary at snapshot time.
-* ``pickle`` — the original transport: the chunk is split with
-  :func:`repro.workloads.partition.partition` and each batch is pickled
-  whole onto the worker's task queue.  Slower (the pickling costs as
-  much as the counting) but order-exact, so it stays as the fallback
-  and the differential reference.
+owning a private Space Saving shard.  They are fed by the zero-copy
+data plane of :mod:`repro.mp.shm`: each dispatch chunk is
+pre-aggregated into distinct integer-coded ``(code, weight)`` pairs
+(one numpy/Counter pass, no per-element Python loop), routed with
+vectorized numpy ops, and written into per-worker shared-memory ring
+segments; only a tiny ``("seg", ...)`` control message crosses the task
+queue.  Workers count codes and the parent decodes them against its
+vocabulary at snapshot time.
 
 The life cycle is
 
 1. **dispatch** — :meth:`count` reads the stream one chunk at a time
    (:func:`repro.workloads.partition.chunked`) and routes it to the
-   worker shards.  Backpressure: the pickle plane blocks on the bounded
-   task queue, the shm plane on ring-segment availability (stalls are
-   metered, never silent);
+   worker shards.  Backpressure: dispatch blocks on ring-segment
+   availability (stalls are metered, never silent);
 2. **query** — :meth:`merged` snapshots every shard (a FIFO command on
-   the same queue, so it observes all previously dispatched batches),
+   the task queue, so it observes all previously dispatched batches),
    rebuilds the shards in the parent via ``SpaceSaving.from_entries``
    and folds them through :func:`repro.core.merge.hierarchical_merge`,
    so answers carry the documented merge error bounds;
@@ -60,7 +52,7 @@ from repro.mp.shm import ShmRing, StreamCodec, route_coded
 from repro.mp.worker import shard_main
 from repro.obs.registry import TIME_BUCKETS, coerce, merge_snapshots
 from repro.obs.tracing import coerce_tracer
-from repro.workloads.partition import chunked, partition
+from repro.workloads.partition import chunked
 
 Element = Hashable
 
@@ -80,8 +72,8 @@ class ShardedProcessPool:
     ``metrics`` optionally attaches a :class:`repro.obs.MetricsRegistry`
     (parent-side only; nothing crosses the process boundary): dispatched
     items/batches, per-worker routed items, task-queue occupancy sampled
-    at each put, snapshot/merge latency histograms, and — on the shm
-    plane — ring occupancy, dispatch stalls and payload bytes.
+    at each put, snapshot/merge latency histograms, ring occupancy,
+    dispatch stalls and payload bytes.
 
     ``tracer`` optionally attaches a :class:`repro.obs.tracing.Tracer`.
     The parent records dispatch/snapshot/merge spans on the ``driver``
@@ -132,17 +124,14 @@ class ShardedProcessPool:
         self.worker_beacons: Dict[int, Dict] = {}
         #: kinds of stale replies swallowed by error/shutdown sweeps
         self._discarded_replies: collections.Counter = collections.Counter()
-        self._use_shm = self.config.transport == "shm"
-        self._codec = StreamCodec() if self._use_shm else None
-        self._rings: List[ShmRing] = []
+        self._codec = StreamCodec()
         self._next_segment = [0] * self.config.workers
-        if self._use_shm:
-            # worst case one chunk is all-distinct and lands whole on a
-            # single worker, so every segment must hold a full chunk
-            self._rings = [
-                ShmRing(self.config.chunk_elements, self.config.ring_segments)
-                for _ in range(self.config.workers)
-            ]
+        # worst case one chunk is all-distinct and lands whole on a
+        # single worker, so every segment must hold a full chunk
+        self._rings: List[ShmRing] = [
+            ShmRing(self.config.chunk_elements, self.config.ring_segments)
+            for _ in range(self.config.workers)
+        ]
         context = multiprocessing.get_context(self.config.start_method)
         self._tasks = [
             context.Queue(maxsize=self.config.queue_depth)
@@ -186,12 +175,12 @@ class ShardedProcessPool:
                 self._rings[index].name,
                 self.config.chunk_elements,
                 self.config.ring_segments,
-            ) if self._use_shm else None,
+            ),
             self.config.beacon_every,
         )
 
     def _note_chunk(self, codes, weights) -> None:
-        """Hook: one encoded chunk is about to be routed (shm plane only).
+        """Hook: one encoded chunk is about to be routed.
 
         The base pool does nothing; the one-table pool tracks heavy
         candidate codes here (the table alone cannot enumerate keys).
@@ -329,45 +318,12 @@ class ShardedProcessPool:
         """Route ``stream`` to the worker shards chunk by chunk.
 
         Returns the number of elements dispatched.  The stream is
-        consumed incrementally (any iterable works).  On the shm plane
-        each chunk is pre-aggregated, integer-coded and written into
-        ring segments; on the pickle plane it is split with the
-        configured partitioner and shipped as pickled batches.  Raises
-        :class:`WorkerCrashError` / :class:`WorkerTimeoutError` (after
-        closing the pool) if a worker died or stopped draining.
+        consumed incrementally (any iterable works); each chunk is
+        pre-aggregated, integer-coded and written into ring segments.
+        Raises :class:`WorkerCrashError` / :class:`WorkerTimeoutError`
+        (after closing the pool) if a worker died or stopped draining.
         """
         self._ensure_open()
-        if self._use_shm:
-            return self._count_shm(stream)
-        return self._count_pickle(stream)
-
-    def _count_pickle(self, stream: Iterable[Element]) -> int:
-        tracer = self.tracer
-        sent = 0
-        for chunk in chunked(stream, self.config.chunk_elements):
-            if tracer.enabled:
-                dispatch_start = tracer.now()
-            self._poll_for_errors()
-            batches = partition(chunk, self.workers, self.config.partition_how)
-            shipped = 0
-            for index, batch in enumerate(batches):
-                if batch:
-                    self._put(index, ("count", batch))
-                    self._m_batches.inc()
-                    self._m_worker_items[index].inc(len(batch))
-                    self.worker_items[index] += len(batch)
-                    shipped += 1
-            sent += len(chunk)
-            self._dispatched += len(chunk)
-            self._m_items.inc(len(chunk))
-            if tracer.enabled:
-                tracer.add_span(
-                    "driver", "dispatch", "mp", dispatch_start, tracer.now(),
-                    {"items": len(chunk), "batches": shipped},
-                )
-        return sent
-
-    def _count_shm(self, stream: Iterable[Element]) -> int:
         tracer = self.tracer
         codec = self._codec
         metrics_on = self.metrics.enabled
@@ -420,8 +376,7 @@ class ShardedProcessPool:
         """Block until the worker frees ``segment`` (shm backpressure).
 
         A full ring means the worker is behind by ``ring_segments``
-        batches — the analogue of the pickle plane's bounded queue.
-        The wait polls the one-byte status flag, metering the stall,
+        batches.  The wait polls the one-byte status flag, metering the stall,
         and converts a dead worker / expired timeout into the same
         typed errors a blocked queue put raises.
         """
@@ -544,9 +499,9 @@ class ShardedProcessPool:
         The snapshot command travels the same FIFO queues as the count
         batches, so each shard's reply reflects every batch dispatched
         before the call — queries are consistent with dispatch order.
-        Under the shm transport the replies carry integer codes; they
-        are decoded against the parent-owned vocabulary here, so workers
-        never need the key objects at all.
+        The replies carry integer codes; they are decoded against the
+        parent-owned vocabulary here, so workers never need the key
+        objects at all.
         """
         self._ensure_open()
         started = time.perf_counter()
@@ -559,8 +514,7 @@ class ShardedProcessPool:
         states = self._collect_snapshots(token)
         shards: List[SpaceSaving] = []
         for entries, processed, capacity in states:
-            if self._codec is not None:
-                entries = self._codec.decode_entries(entries)
+            entries = self._codec.decode_entries(entries)
             shards.append(
                 SpaceSaving.from_entries(
                     capacity,

@@ -1,13 +1,13 @@
 """The zero-copy shared-memory data plane of the multiprocess backend.
 
-The original (and still available) ``transport="pickle"`` ships every
-routed batch as a pickled list of Python objects over a
-``multiprocessing`` queue — measured on the mp bench ladder, the
-pickle/unpickle cost eats the entire parallel win (BENCH_mp.json topped
-out at 1.01x vs sequential).  This module is the replacement shape, the
-one the merge-based parallel Space Saving literature (Cafaro et al.,
-QPOPSS) gets its near-linear scaling from: shards exchange *compact
-fixed-width data*, never per-item Python objects.
+Shipping every routed batch as a pickled list of Python objects over a
+``multiprocessing`` queue measured 0.86–0.93x of sequential on the mp
+bench ladder (1-core x86-64 host, 1–8 workers): the pickle/unpickle
+cost eats the entire parallel win.
+This module is the shape the merge-based parallel Space Saving
+literature (Cafaro et al., QPOPSS) gets its near-linear scaling from:
+shards exchange *compact fixed-width data*, never per-item Python
+objects.
 
 Three pieces:
 
@@ -23,11 +23,10 @@ Three pieces:
     per-element Python loop; anything else falls back to one
     ``collections.Counter`` pass plus a per-*distinct*-key dict lookup.
 
-    Known (documented) semantic edge: keys of different types that
-    compare equal (``1`` vs ``1.0``) are merged by the pickle transport
-    (dict semantics) but coded separately by the int fast lane.  Streams
-    relying on cross-type key equality should use
-    ``transport="pickle"``.
+    Keys of different types that compare equal (``1``, ``1.0``,
+    ``True``, ``numpy.int64(1)``) are one key, as in a dict: a key
+    equal to a machine-size int takes that int's even code, whichever
+    lane coded the int first.
 
 :func:`route_coded`
     Vectorized hash/round-robin/block routing of a pre-aggregated

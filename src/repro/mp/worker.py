@@ -4,20 +4,17 @@ Each worker owns one *private* :class:`~repro.core.space_saving.
 SpaceSaving` shard — the shared-nothing design of §4.1, here on real OS
 processes so the GIL is out of the picture.  The loop is command-driven:
 
-``("count", elements)``
-    Pickle transport: drain the (already routed) batch through
-    ``process_many`` — the chunked, pre-aggregating fast lane.
 ``("seg", segment, n, weight)``
-    Shm transport: copy ``n`` integer-coded ``(code, weight)`` records
+    Copy ``n`` integer-coded ``(code, weight)`` records
     out of ring ``segment`` (two ``tolist`` C passes), flip the segment
     free so the parent can refill it, and drain the pairs through
     ``process_weighted`` — one update per *distinct* code, the parent
     already pre-aggregated the chunk.  ``weight`` (the batch's total
     occurrence count) only feeds the batch span's args.
 ``("snapshot", token)``
-    Reply with the shard's queryable state: the ``(element, count,
-    error)`` triples (integer codes under the shm transport — the
-    parent decodes them against its vocabulary), the processed count
+    Reply with the shard's queryable state: the ``(code, count,
+    error)`` triples (the parent decodes the codes against its
+    vocabulary), the processed count
     and the capacity — everything :meth:`SpaceSaving.from_entries`
     needs to rebuild the shard in the parent for merging.
 ``("stop",)``
@@ -55,6 +52,7 @@ import time
 from typing import Any, Optional, Tuple
 
 from repro.core.space_saving import SpaceSaving
+from repro.mp.shm import ShmRingReader
 from repro.obs.tracing import NULL_TRACER, Tracer
 
 #: exit code of a worker that died via the error path (parent reads it)
@@ -101,55 +99,44 @@ def shard_main(
     tasks: Any,
     replies: Any,
     capacity: int,
-    fault: Optional[str] = None,
-    trace: bool = False,
-    ring: Optional[Tuple[str, int, int]] = None,
+    fault: Optional[str],
+    trace: bool,
+    ring: Tuple[str, int, int],
     beacon_every: int = 0,
 ) -> None:
     """Entry point of one worker process (top-level: spawn-safe).
 
-    ``ring`` is ``(shm_name, slots, segments)`` when the pool runs the
-    shared-memory transport; the worker attaches read-write (it flips
-    the segment status flags) but never unlinks — the parent owns the
+    ``ring`` is ``(shm_name, slots, segments)`` of the worker's
+    shared-memory ring; the worker attaches read-write (it flips the
+    segment status flags) but never unlinks — the parent owns the
     blocks and destroys them after the workers are joined.
     """
     tracer = Tracer() if trace else NULL_TRACER
     shard = SpaceSaving(capacity=capacity)
-    reader = None
-    if ring is not None:
-        from repro.mp.shm import ShmRingReader
-
-        reader = ShmRingReader(ring[0], ring[1], ring[2])
+    reader = ShmRingReader(ring[0], ring[1], ring[2])
     batches_done = 0
     try:
         while True:
             message = tasks.get()
             kind = message[0]
-            if kind == "count" or kind == "seg":
+            if kind == "seg":
                 if fault == "raise":
                     raise RuntimeError("injected fault: raise during count")
                 if fault == "exit":
                     os._exit(CRASH_EXIT_CODE)
                 if fault == "hang":
                     time.sleep(_HANG_SECONDS)
-                if kind == "count":
-                    with tracer.span(
-                        "worker", "batch", "mp.worker",
-                        {"items": len(message[1])} if trace else None,
-                    ):
-                        shard.process_many(message[1])
-                else:
-                    with tracer.span(
-                        "worker", "batch", "mp.worker",
-                        {"items": message[3]} if trace else None,
-                    ):
-                        codes, weights = reader.read(message[1], message[2])
-                        shard.process_weighted(zip(codes, weights))
+                with tracer.span(
+                    "worker", "batch", "mp.worker",
+                    {"items": message[3]} if trace else None,
+                ):
+                    codes, weights = reader.read(message[1], message[2])
+                    shard.process_weighted(zip(codes, weights))
                 batches_done += 1
                 if beacon_every and batches_done % beacon_every == 0:
                     put_beacon(
                         replies, index, shard.processed, batches_done,
-                        reader.busy_segments() if reader is not None else 0,
+                        reader.busy_segments(),
                     )
             elif kind == "snapshot":
                 with tracer.span("worker", "snapshot", "mp.worker"):
@@ -180,8 +167,7 @@ def shard_main(
                     # the parent may already be tearing the queues down;
                     # an undeliverable ack must not fail a clean stop
                     pass
-                if reader is not None:
-                    reader.close()
+                reader.close()
                 return
             else:
                 raise ValueError(f"unknown command {kind!r}")

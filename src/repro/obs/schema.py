@@ -90,8 +90,7 @@ METRIC_SPECS: Dict[str, MetricSpec] = {
         _spec("mp.dispatched.items", "counter", "elements", "mp",
               "stream elements dispatched to the worker pool"),
         _spec("mp.dispatched.batches", "counter", "batches", "mp",
-              "non-empty batches shipped to workers (pickled batches or "
-              "shm ring segments, per the configured transport)"),
+              "non-empty shm ring segments shipped to workers"),
         _spec("mp.worker.<i>.items", "counter", "elements", "mp",
               "stream elements routed to worker shard <i>"),
         _spec("mp.worker.<i>.items_per_sec", "gauge", "elements/s", "mp",
@@ -265,7 +264,7 @@ METRIC_SPECS: Dict[str, MetricSpec] = {
               "telemetry beacon"),
         _spec("mp.beacon.<i>.ring_busy", "gauge", "segments", "mp",
               "busy segments worker <i> observed in its shm ring at "
-              "beacon time (live occupancy; 0 for pickled transport)"),
+              "beacon time (live occupancy)"),
         _spec("mp.beacons.received", "counter", "beacons", "mp",
               "worker telemetry beacons folded by the parent pool"),
         # ------------------------------------------------------- sim

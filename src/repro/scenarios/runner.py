@@ -2,7 +2,7 @@
 
 One entry point, :func:`run_scenario`, ties the pieces together: build
 the seeded stream, count it with the chosen backend (sequential batched,
-simulated CoTS, or the real multiprocess backend on either transport),
+simulated CoTS, the real multiprocess pools, or the vectorized sketch),
 score the result against exact ground truth, and record the
 ``scenario.*`` metrics into an optional registry.
 
@@ -40,7 +40,6 @@ BACKENDS = (
     "sequential",
     "cots",
     "mp-shm",
-    "mp-pickle",
     "mp-one-table",
     "sketch-cm-vec",
 )
@@ -106,7 +105,7 @@ def run_backend(
             ),
         )
         return result.counter, time.perf_counter() - started
-    if backend in ("mp-shm", "mp-pickle", "mp-one-table"):
+    if backend in ("mp-shm", "mp-one-table"):
         chunk = chunk_elements or min(
             32_768, max(256, len(stream) // (workers * 4) or 256)
         )
@@ -114,7 +113,6 @@ def run_backend(
             workers=workers,
             capacity=capacity,
             chunk_elements=chunk,
-            transport="pickle" if backend == "mp-pickle" else "shm",
             mode="one_table" if backend == "mp-one-table" else "sharded",
             timeout=timeout,
         )

@@ -1,7 +1,7 @@
 """The asyncio serve tier: live ingest + the §3.2 query model on sockets.
 
 One :class:`StreamServer` owns one backend from
-:func:`repro.backend.create_backend` — any of the nine registered
+:func:`repro.backend.create_backend` — any of the six registered
 engines — and splits the work across three concerns so the hot ingest
 path never waits on a reader (the Gulisano-style snapshot-read design
 the ISSUE motivates):
@@ -87,7 +87,7 @@ class ServeConfig:
     port: int = 0                       #: 0 = ephemeral (read it back)
     backend: str = "sequential"
     capacity: int = 256
-    threads: int = 4                    #: simulated/native-thread engines
+    threads: int = 4                    #: simulated engine (cots-sim)
     workers: int = 2                    #: multiprocess engines
     epsilon: float = 0.001              #: sketch engines
     delta: float = 0.01

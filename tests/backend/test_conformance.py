@@ -1,17 +1,17 @@
 """One conformance suite, every backend in the registry.
 
-This is the acceptance gate of PR 8's tentpole: the sequential,
-simulated-CoTS, native-thread, both multiprocess modes and the sketch
-engines all pass the *same* protocol contract — incremental ingest,
-snapshot completeness, estimate/error-bound semantics, idempotent
-close.  Anything added to ``repro.backend.registry`` is tested here
-automatically.
+The backend protocol's acceptance gate: the sequential, simulated-CoTS,
+both multiprocess modes and the sketch engines all pass the *same*
+protocol contract — incremental ingest, snapshot completeness,
+estimate/error-bound semantics, idempotent close.  Anything added to
+``repro.backend.registry`` is tested here automatically.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.backend import (
@@ -38,9 +38,9 @@ def conformance_truth(conformance_stream):
     return Counter(conformance_stream)
 
 
-def _make(name):
+def _make(name, workers=2):
     return create_backend(
-        name, capacity=96, threads=2, workers=2,
+        name, capacity=96, threads=2, workers=workers,
         chunk_elements=512, timeout=60.0,
     )
 
@@ -129,6 +129,28 @@ class TestIncrementalSnapshots:
                 backend.ingest(batch)
                 seen += len(batch)
                 assert backend.snapshot().processed == seen
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_int_equal_keys_are_one_key(self, name):
+        """``1.0``, ``True`` and ``numpy.int64(1)`` compare and hash
+        equal to ``1``, so they are key ``1`` — as in a dict — on every
+        engine, whichever coding lane saw the int first.  One worker
+        puts both spellings on the same shard."""
+        backend = _make(name, workers=1)
+        try:
+            backend.ingest([1, 1, 2, 3])
+            assert backend.estimate(1.0) == backend.estimate(1) >= 2
+            backend.ingest([1.0, 1.0, True, "a"])
+            snap = backend.snapshot()
+            assert snap.processed == 8
+            assert [e.element for e in snap.entries].count(1) == 1
+            estimate = backend.estimate(1)
+            assert estimate == backend.estimate(1.0)
+            assert estimate == backend.estimate(np.int64(1))
+            if name in ONE_SIDED:
+                assert estimate >= 5
         finally:
             backend.close()
 

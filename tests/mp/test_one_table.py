@@ -58,8 +58,6 @@ def stream():
 
 def test_config_rejects_incompatible_mode_combinations():
     with pytest.raises(ConfigurationError):
-        MPConfig(workers=2, mode="one_table", transport="pickle")
-    with pytest.raises(ConfigurationError):
         MPConfig(workers=2, mode="one_table", partition_how="round_robin")
     with pytest.raises(ConfigurationError):
         MPConfig(workers=2, mode="banded")

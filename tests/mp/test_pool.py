@@ -16,6 +16,7 @@ from repro.errors import (
     WorkerTimeoutError,
 )
 from repro.mp import MPConfig, ShardedProcessPool, summaries_equivalent
+from repro.mp.shm import StreamCodec
 from repro.workloads import zipf_stream
 
 
@@ -55,22 +56,26 @@ def test_count_and_merge_matches_heavy_hitters(stream):
 
 
 def test_single_worker_is_identical_to_sequential(stream):
-    """With one worker every batch lands on the same shard in stream
-    order, and process_many is pinned observationally identical to the
-    per-element path — so the merged result must match exactly.  Pinned
-    to the pickle transport: it is the order-exact plane (the shm plane
-    pre-aggregates each chunk, which legitimately reorders within it)."""
-    sequential = SpaceSaving(capacity=64)
-    sequential.process_many(stream)
+    """With one worker every chunk lands on the same shard in dispatch
+    order, so the merged result must equal the in-process coded lane
+    exactly: each ``chunk_elements`` chunk encoded, applied through
+    ``process_weighted``, and the entries decoded at the end."""
+    codec = StreamCodec()
+    reference = SpaceSaving(capacity=64)
+    for start in range(0, len(stream), 1_000):
+        codes, weights = codec.encode_chunk(stream[start:start + 1_000])
+        reference.process_weighted(zip(codes.tolist(), weights.tolist()))
     with ShardedProcessPool(
-        MPConfig(
-            workers=1, capacity=64, chunk_elements=1_000, transport="pickle"
-        )
+        MPConfig(workers=1, capacity=64, chunk_elements=1_000)
     ) as pool:
         pool.count(stream)
         merged = pool.merged()
-    assert _canonical(merged) == _canonical(sequential)
-    assert merged.processed == sequential.processed
+    expected = sorted(
+        (str(codec.decode(e.element)), e.count, e.error)
+        for e in reference.entries()
+    )
+    assert _canonical(merged) == expected
+    assert merged.processed == reference.processed
 
 
 def test_incremental_counting_between_queries(stream):
@@ -172,7 +177,6 @@ def test_config_validation():
         dict(queue_depth=0),
         dict(start_method="threads"),
         dict(fault="explode"),
-        dict(transport="carrier-pigeon"),
         dict(ring_segments=0),
     ):
         with pytest.raises(ConfigurationError):

@@ -1,19 +1,19 @@
-"""shm-vs-pickle transport differential under adversarial scenarios.
+"""The shm data plane against sequential Space Saving under adversaries.
 
 Extends ``tests/mp/test_shm.py``'s ample-capacity parity matrix beyond
 uniform zipf: the two adversarial streams (hot-key flood, eviction
-poisoning) are exactly the shapes that stress the shm plane's chunk
+poisoning) are exactly the shapes that stress the plane's chunk
 pre-aggregation — near-distinct singleton floods produce almost no
-within-chunk dedup, attack bursts produce extreme dedup — so the two
-transports must still agree:
+within-chunk dedup, attack bursts produce extreme dedup — so the merged
+shard summaries must still agree with sequential Space Saving:
 
 * **exactly** (same multiset of exact counts) when capacity is ample,
   because then no eviction ever happens and within-chunk reordering
   cannot show;
 * **within the documented Space Saving equivalence bounds** at the
   adversary's targeted tight capacity, where eviction runs hot; and the
-  merged summaries must pass the accuracy audit with zero guarantee
-  violations either way.
+  merged summary must pass the accuracy audit with zero guarantee
+  violations.
 """
 
 import collections
@@ -38,15 +38,20 @@ def _canonical(counter):
     )
 
 
-def _run(stream, capacity, transport, how="hash"):
+def _run(stream, capacity, how="hash"):
     config = MPConfig(
         workers=3,
         capacity=capacity,
         chunk_elements=512,
         partition_how=how,
-        transport=transport,
     )
     return run_mp(stream, config)
+
+
+def _sequential(stream, capacity):
+    counter = SpaceSaving(capacity=capacity)
+    counter.process_many(stream)
+    return counter
 
 
 def test_adversarial_matrix_is_nonempty():
@@ -56,15 +61,16 @@ def test_adversarial_matrix_is_nonempty():
 @pytest.mark.parametrize("how", ["hash", "round_robin", "block"])
 @pytest.mark.parametrize("name", ADVERSARIAL)
 def test_transports_match_exactly_at_ample_capacity(name, how):
-    """Capacity above the distinct-key count: both transports must
-    produce the identical multiset of exact counts, even though the
-    poison stream is ~95% singletons (worst case for chunk dedup)."""
+    """Capacity above the distinct-key count: the shm plane and
+    sequential Space Saving must produce the identical multiset of
+    exact counts, even though the poison stream is ~95% singletons
+    (worst case for chunk dedup)."""
     stream = SCENARIOS[name].build(_PARAMS)
     ample = len(set(stream)) + 16
-    shm = _run(stream, ample, "shm", how)
-    pickle = _run(stream, ample, "pickle", how)
-    assert _canonical(shm.counter) == _canonical(pickle.counter)
-    assert shm.elements == pickle.elements == len(stream)
+    shm = _run(stream, ample, how)
+    sequential = _sequential(stream, ample)
+    assert _canonical(shm.counter) == _canonical(sequential)
+    assert shm.elements == sequential.processed == len(stream)
     # ample capacity means exact counts: zero error against truth
     truth = collections.Counter(stream)
     assert all(
@@ -75,10 +81,10 @@ def test_transports_match_exactly_at_ample_capacity(name, how):
 @pytest.mark.parametrize("name", ADVERSARIAL)
 @pytest.mark.parametrize("seed", seed_matrix(7, 31))
 def test_transports_equivalent_at_the_attacked_capacity(name, seed):
-    """At the adversary's own target capacity eviction churns hard;
-    shm and pickle may order differently inside chunks but must stay
-    within the documented equivalence bounds of each other and of the
-    sequential reference — with a clean accuracy audit."""
+    """At the adversary's own target capacity eviction churns hard; the
+    shm plane may order differently inside chunks but must stay within
+    the documented equivalence bounds of the sequential reference —
+    with a clean accuracy audit."""
     params = ScenarioParams(
         length=_PARAMS.length,
         alphabet=_PARAMS.alphabet,
@@ -86,19 +92,11 @@ def test_transports_equivalent_at_the_attacked_capacity(name, seed):
         seed=seed,
     )
     stream = SCENARIOS[name].build(params)
-    sequential = SpaceSaving(capacity=params.capacity)
-    sequential.process_many(stream)
+    sequential = _sequential(stream, params.capacity)
     truth = collections.Counter(stream)
-    merged = {}
-    for transport in ("shm", "pickle"):
-        result = _run(stream, params.capacity, transport)
-        merged[transport] = result.counter
-        report = score_accuracy(
-            result.counter, truth, k=10, merged=True
-        )
-        assert report.guarantee_violations == 0, (name, transport)
-        assert report.max_underestimate == 0, (name, transport)
-    assert summaries_equivalent(sequential, merged["shm"], k=10)
-    assert summaries_equivalent(sequential, merged["pickle"], k=10)
-    assert summaries_equivalent(merged["pickle"], merged["shm"], k=10)
-    assert merged["shm"].processed == merged["pickle"].processed
+    merged = _run(stream, params.capacity).counter
+    report = score_accuracy(merged, truth, k=10, merged=True)
+    assert report.guarantee_violations == 0, name
+    assert report.max_underestimate == 0, name
+    assert summaries_equivalent(sequential, merged, k=10)
+    assert merged.processed == sequential.processed

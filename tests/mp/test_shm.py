@@ -1,27 +1,25 @@
-"""The shared-memory data plane: codec, rings, and shm-vs-pickle parity.
+"""The shared-memory data plane: codec, rings, and exact-count parity.
 
 Three layers of confidence:
 
 * unit tests on the pieces (``StreamCodec`` roundtrips, ``route_coded``
   invariants, ``ShmRing`` fill/read/free protocol);
-* differential tests pinning the shm transport against the pickle
-  reference — *exactly* at ample capacity (no eviction ever happens, so
-  pre-aggregation's reordering latitude cannot show) across every
-  partitioner and several seeds, and within the documented equivalence
-  bounds under tight capacity;
+* differential tests pinning the plane against exact counts at ample
+  capacity (no eviction ever happens, so pre-aggregation's reordering
+  latitude cannot show) across every partitioner and several seeds;
 * regression tests for the shutdown/clock bugs this plane shipped with:
   clean runs must leave every worker at exit code 0, and driver spans
   must use the tracer's (rebindable) clock for both edges.
 """
 
+import collections
 import time
 
 import numpy as np
 import pytest
 
-from repro.core.space_saving import SpaceSaving
 from repro.errors import StreamError, WorkerCrashError
-from repro.mp import MPConfig, ShardedProcessPool, run_mp, summaries_equivalent
+from repro.mp import MPConfig, ShardedProcessPool, run_mp
 from repro.mp.shm import (
     SEG_BUSY,
     SEG_FREE,
@@ -78,6 +76,25 @@ def test_codec_huge_and_boundary_ints_fall_back_safely():
     codes, weights = codec.encode_chunk(chunk)
     assert _decode_pairs(codec, codes, weights) == {huge: 2, edge: 1, 1: 1}
     assert codec.vocab_size == 2   # huge + edge; 1 is identity-coded
+
+
+def test_codec_int_equal_keys_take_the_int_code():
+    """``1.0``, ``True`` and ``numpy.int64(1)`` are dict-equal to ``1``:
+    every lane must give them ``1``'s identity code, never a vocabulary
+    slot — even when ``1`` itself went through the numpy fast lane and
+    never touched the dictionary."""
+    codec = StreamCodec()
+    ints, _ = codec.encode_chunk([1, 1, 2])
+    mixed, weights = codec.encode_chunk([1.0, True, np.int64(1), "a", 2.5])
+    assert _decode_pairs(codec, mixed, weights) == {1: 3, "a": 1, 2.5: 1}
+    assert int(mixed[0]) == int(ints[0])
+    assert codec.vocab_size == 2   # "a" and 2.5 only
+    assert codec.peek(1.0) == codec.encode_one(True) == int(ints[0])
+    assert StreamCodec().peek(np.int64(1)) == int(ints[0])
+    # keys equal to no int, or to an int outside the coding range,
+    # still take the vocabulary lane
+    assert codec.peek(float("nan")) is None
+    assert codec.encode_one(2.0**70) & 1
 
 
 def test_codec_empty_chunk():
@@ -190,51 +207,25 @@ def test_ring_status_flags_are_plain_bytes():
 
 
 # ----------------------------------------------------------------------
-# shm vs pickle differential
+# Exact-count differential
 # ----------------------------------------------------------------------
-def _canonical(counter):
-    return sorted(
-        (str(e.element), e.count, e.error) for e in counter.entries()
-    )
-
-
 @pytest.mark.parametrize("how", ["hash", "round_robin", "block"])
 @pytest.mark.parametrize("seed", [3, 11])
-def test_shm_matches_pickle_exactly_at_ample_capacity(how, seed):
+def test_shm_matches_exact_counts_at_ample_capacity(how, seed):
     """With capacity above the alphabet size no eviction ever happens,
-    so both transports must produce the *same multiset of exact counts*
-    regardless of the shm plane's within-chunk reordering."""
+    so the merged summary must hold exactly the stream's counts with
+    zero error, whatever the plane's within-chunk reordering."""
     stream = zipf_stream(6_000, 150, 1.1, seed=seed)
-    results = {}
-    for transport in ("shm", "pickle"):
-        config = MPConfig(
-            workers=3,
-            capacity=512,
-            chunk_elements=700,
-            partition_how=how,
-            transport=transport,
-        )
-        result = run_mp(stream, config)
-        results[transport] = result
-    assert _canonical(results["shm"].counter) == _canonical(
-        results["pickle"].counter
+    config = MPConfig(
+        workers=3, capacity=512, chunk_elements=700, partition_how=how
     )
-    assert results["shm"].elements == results["pickle"].elements
-
-
-def test_shm_equivalent_to_pickle_under_eviction():
-    stream = zipf_stream(20_000, 2_000, 1.2, seed=11)
-    merged = {}
-    for transport in ("shm", "pickle"):
-        config = MPConfig(
-            workers=3, capacity=128, chunk_elements=4_096, transport=transport
-        )
-        merged[transport] = run_mp(stream, config).counter
-    sequential = SpaceSaving(capacity=128)
-    sequential.process_many(stream)
-    assert summaries_equivalent(sequential, merged["shm"], k=10)
-    assert summaries_equivalent(merged["pickle"], merged["shm"], k=10)
-    assert merged["shm"].processed == merged["pickle"].processed
+    result = run_mp(stream, config)
+    counts = {e.element: (e.count, e.error) for e in result.counter.entries()}
+    assert counts == {
+        element: (count, 0)
+        for element, count in collections.Counter(stream).items()
+    }
+    assert result.elements == len(stream)
 
 
 def test_shm_handles_string_streams():
@@ -249,14 +240,11 @@ def test_shm_handles_string_streams():
 # ----------------------------------------------------------------------
 # Shutdown and clock regressions
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("transport", ["shm", "pickle"])
-def test_clean_run_leaves_all_workers_at_exit_code_zero(transport):
+def test_clean_run_leaves_all_workers_at_exit_code_zero():
     """A normal run must never produce a crash exit: the stop ack used
     to race queue teardown and turn clean shutdowns into exit code 17."""
     stream = zipf_stream(8_000, 500, 1.1, seed=5)
-    pool = ShardedProcessPool(
-        MPConfig(workers=4, capacity=64, transport=transport)
-    )
+    pool = ShardedProcessPool(MPConfig(workers=4, capacity=64))
     pool.count(stream)
     pool.merged()
     pool.close()
@@ -320,7 +308,6 @@ def test_shm_run_emits_plane_metrics():
     counters = result.extras["metrics"]["counters"]
     assert counters["mp.shm.bytes"] > 0
     assert counters["mp.dispatched.items"] == len(stream)
-    assert result.extras["transport"] == "shm"
     # occupancy was sampled once per shipped batch
     occupancy = result.extras["metrics"]["histograms"][
         "mp.shm.ring_occupancy"

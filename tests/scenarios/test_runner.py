@@ -19,7 +19,6 @@ def test_backend_tuple_covers_the_matrix():
         "sequential",
         "cots",
         "mp-shm",
-        "mp-pickle",
         "mp-one-table",
         "sketch-cm-vec",
     )
@@ -36,7 +35,7 @@ def test_in_process_backends_run_every_scenario_kind(backend):
         assert run.wall_seconds > 0
 
 
-@pytest.mark.parametrize("backend", ["mp-shm", "mp-pickle"])
+@pytest.mark.parametrize("backend", ["mp-shm"])
 def test_mp_backends_score_with_merged_tolerance(backend):
     run = run_scenario(
         "hot-key-flood", backend, _PARAMS, k=8, workers=2

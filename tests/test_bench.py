@@ -213,9 +213,7 @@ def test_mp_suite_report_shape(micro_mp_scale):
     assert names == [
         "mp-sequential-batched",
         "mp-sharded-1w",
-        "mp-sharded-1w-pickle",
         "mp-sharded-2w",
-        "mp-sharded-2w-pickle",
     ]
     baseline = report["results"][0]
     assert baseline["kind"] == "wallclock"
@@ -223,9 +221,6 @@ def test_mp_suite_report_shape(micro_mp_scale):
     for entry in report["results"][1:]:
         assert entry["kind"] == "mp"
         assert entry["workers"] in (1, 2)
-        assert entry["transport"] == (
-            "pickle" if entry["name"].endswith("-pickle") else "shm"
-        )
         assert entry["wall_seconds"] > 0
         assert entry["startup_seconds"] > 0
         assert entry["speedup_vs_sequential"] > 0
