@@ -293,14 +293,10 @@ class SketchCMVecBackend(_VectorSketchBackend):
         epsilon: float = 0.001,
         delta: float = 0.01,
         seed: Optional[int] = 0,
-        conservative: bool = False,
         metrics=None,
     ) -> None:
         super().__init__(
-            CountMinSketch(
-                epsilon=epsilon, delta=delta, seed=seed,
-                conservative=conservative,
-            ),
+            CountMinSketch(epsilon=epsilon, delta=delta, seed=seed),
             capacity,
             metrics,
         )

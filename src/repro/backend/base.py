@@ -1,11 +1,8 @@
 """The unified Backend protocol every counting engine implements.
 
-Before PR 8 the repo had three incompatible driver shapes: the
-simulated schemes (``run_*(stream, SchemeConfig) -> SchemeResult``), the
-multiprocess driver (``run_mp(stream, MPConfig) -> MPResult``) and the
-native-thread classes (construct, ``count``, ``merged``).  Every layer
-above them — bench, scenarios, CLI, experiments — carried its own
-adapter glue.  This package collapses them to one small surface:
+The sequential counter, the simulated CoTS engine, the multiprocess
+pools and the sketch tables all sit behind one small surface, so the
+layers above them need no per-engine glue:
 
 ``ingest(batch)``
     Feed a batch of stream elements; returns the number ingested.
@@ -26,6 +23,11 @@ The contract all implementations share (pinned by the conformance
 tests): estimates upper-bound true counts, ``count - error`` lower
 bounds them, ``processed`` equals the total ingested weight, and
 ``snapshot()`` reflects every batch ingested before the call.
+
+Engines are built by name with :func:`repro.backend.create_backend`,
+which takes only the sizing knobs (capacity, threads, workers, sketch
+eps/delta/seed); the pools' dispatch chunk and worker timeout stay at
+their :class:`~repro.mp.config.MPConfig` defaults.
 """
 
 from __future__ import annotations

@@ -45,8 +45,6 @@ def create_backend(
     capacity: int = 256,
     threads: int = 4,
     workers: int = 2,
-    chunk_elements: int = 32_768,
-    timeout: float = 60.0,
     epsilon: float = 0.001,
     delta: float = 0.01,
     seed: Optional[int] = 0,
@@ -56,7 +54,8 @@ def create_backend(
 
     ``capacity`` budgets the counter/candidate set everywhere;
     ``threads`` drives the simulated engine;
-    ``workers``/``chunk_elements``/``timeout`` the multiprocess pools;
+    ``workers`` the multiprocess pools, which dispatch in
+    :class:`~repro.mp.config.MPConfig`'s default chunks and timeout;
     ``epsilon``/``delta``/``seed`` the sketch tables.  Unknown names
     raise :class:`~repro.errors.ConfigurationError` listing the
     registry.
@@ -73,8 +72,6 @@ def create_backend(
         config = MPConfig(
             workers=workers,
             capacity=capacity,
-            chunk_elements=chunk_elements,
-            timeout=timeout,
             mode="one_table" if name == "mp-one-table" else "sharded",
             sketch_epsilon=epsilon,
             sketch_delta=delta,

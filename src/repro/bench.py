@@ -538,7 +538,6 @@ def _bench_mp(params: Dict[str, Any]) -> List[Dict[str, Any]]:
                 "equivalent": summaries_equivalent(
                     baseline, best.counter, k=10
                 ),
-                "partition_how": config.partition_how,
                 "peak_rss_kb": _peak_rss_kb(),
                 "metrics": best.extras.get("metrics") or {},
             }

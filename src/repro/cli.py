@@ -385,7 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=2,
                        help="worker processes (mp backends)")
     serve.add_argument("--epsilon", type=float, default=0.001,
-                       help="sketch error bound (sketch backends)")
+                       help="Count-Min error bound (sketch-cm-vec and "
+                       "mp-one-table; sketch-cs-vec ignores it)")
     serve.add_argument("--seed", type=int, default=0,
                        help="sketch hash seed (sketch backends)")
     serve.add_argument("--batch-events", type=int, default=2048,

@@ -87,7 +87,6 @@ def run_mp(
         pool = ShardedProcessPool(config, metrics=metrics, tracer=tracer)
     startup = time.perf_counter() - started
     extras = {
-        "partition_how": config.partition_how,
         "chunk_elements": config.chunk_elements,
         "capacity": config.capacity,
         "mode": config.mode,

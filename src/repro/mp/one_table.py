@@ -62,7 +62,13 @@ from repro.core.space_saving import SpaceSaving
 from repro.errors import BackendError, WorkerTimeoutError
 from repro.mp.config import MPConfig
 from repro.mp.pool import ShardedProcessPool
-from repro.mp.worker import CRASH_EXIT_CODE, _HANG_SECONDS, put_beacon
+from repro.mp.shm import RING_SEGMENTS, ShmRingReader
+from repro.mp.worker import (
+    BEACON_EVERY,
+    CRASH_EXIT_CODE,
+    _HANG_SECONDS,
+    put_beacon,
+)
 from repro.obs.registry import TIME_BUCKETS
 from repro.obs.tracing import NULL_TRACER, Tracer
 
@@ -148,7 +154,6 @@ def one_table_main(
     ring: Tuple[str, int, int],
     fault: Optional[str] = None,
     trace: bool = False,
-    beacon_every: int = 0,
 ) -> None:
     """Entry point of one one-table worker process (top-level: spawn-safe).
 
@@ -157,8 +162,6 @@ def one_table_main(
     its own: every batch is hashed with the shared parameters and
     scatter-added into this worker's column band of the shared table.
     """
-    from repro.mp.shm import ShmRingReader
-
     tracer = Tracer() if trace else NULL_TRACER
     table = SharedCountMinTable(
         workers=table_spec[1], depth=table_spec[2],
@@ -193,7 +196,7 @@ def one_table_main(
                     # parent derives staleness bounds from this counter
                     table.add_applied(index, int(weights.sum()))
                 batches_done += 1
-                if beacon_every and batches_done % beacon_every == 0:
+                if batches_done % BEACON_EVERY == 0:
                     put_beacon(
                         replies, index, table.applied(index), batches_done,
                         reader.busy_segments(),
@@ -300,11 +303,10 @@ class OneTablePool(ShardedProcessPool):
             (
                 self._rings[index].name,
                 self.config.chunk_elements,
-                self.config.ring_segments,
+                RING_SEGMENTS,
             ),
             self.config.fault,
             self.tracer.enabled,
-            self.config.beacon_every,
         )
 
     def _note_chunk(self, codes, weights) -> None:

@@ -48,7 +48,7 @@ from repro.core.merge import hierarchical_merge
 from repro.core.space_saving import SpaceSaving
 from repro.errors import BackendError, WorkerCrashError, WorkerTimeoutError
 from repro.mp.config import MPConfig
-from repro.mp.shm import ShmRing, StreamCodec, route_coded
+from repro.mp.shm import RING_SEGMENTS, ShmRing, StreamCodec, route_coded
 from repro.mp.worker import shard_main
 from repro.obs.registry import TIME_BUCKETS, coerce, merge_snapshots
 from repro.obs.tracing import coerce_tracer
@@ -64,6 +64,10 @@ _STALL_POLL_SECONDS = 0.0005
 
 #: bounded wait for stop acknowledgements during a clean close
 _STOP_ACK_SECONDS = 1.0
+
+#: pending control messages per worker before ``put`` blocks (the shm
+#: rings add their own backpressure)
+QUEUE_DEPTH = 8
 
 
 class ShardedProcessPool:
@@ -129,19 +133,18 @@ class ShardedProcessPool:
         # worst case one chunk is all-distinct and lands whole on a
         # single worker, so every segment must hold a full chunk
         self._rings: List[ShmRing] = [
-            ShmRing(self.config.chunk_elements, self.config.ring_segments)
+            ShmRing(self.config.chunk_elements, RING_SEGMENTS)
             for _ in range(self.config.workers)
         ]
-        context = multiprocessing.get_context(self.config.start_method)
         self._tasks = [
-            context.Queue(maxsize=self.config.queue_depth)
+            multiprocessing.Queue(maxsize=QUEUE_DEPTH)
             for _ in range(self.config.workers)
         ]
-        self._replies = context.Queue()
+        self._replies = multiprocessing.Queue()
         self._processes = []
         for index in range(self.config.workers):
             target, args = self._worker_spec(index)
-            self._processes.append(context.Process(
+            self._processes.append(multiprocessing.Process(
                 target=target,
                 args=args,
                 name=f"repro-mp-shard-{index}",
@@ -174,9 +177,8 @@ class ShardedProcessPool:
             (
                 self._rings[index].name,
                 self.config.chunk_elements,
-                self.config.ring_segments,
+                RING_SEGMENTS,
             ),
-            self.config.beacon_every,
         )
 
     def _note_chunk(self, codes, weights) -> None:
@@ -334,9 +336,7 @@ class ShardedProcessPool:
             self._poll_for_errors()
             codes, weights = codec.encode_chunk(chunk)
             self._note_chunk(codes, weights)
-            routed = route_coded(
-                codes, weights, self.workers, self.config.partition_how
-            )
+            routed = route_coded(codes, weights, self.workers)
             shipped = 0
             for index, (shard_codes, shard_weights) in enumerate(routed):
                 records = len(shard_codes)
@@ -375,7 +375,7 @@ class ShardedProcessPool:
     ) -> None:
         """Block until the worker frees ``segment`` (shm backpressure).
 
-        A full ring means the worker is behind by ``ring_segments``
+        A full ring means the worker is behind by a whole ring of
         batches.  The wait polls the one-byte status flag, metering the stall,
         and converts a dead worker / expired timeout into the same
         typed errors a blocked queue put raises.

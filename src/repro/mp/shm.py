@@ -29,13 +29,13 @@ Three pieces:
     lane coded the int first.
 
 :func:`route_coded`
-    Vectorized hash/round-robin/block routing of a pre-aggregated
-    ``(codes, weights)`` chunk to per-worker arrays — numpy masks, no
-    per-element Python loop (the old ``hash_partition`` was one).
+    Vectorized hash routing of a pre-aggregated ``(codes, weights)``
+    chunk to per-worker arrays — numpy masks, no per-element Python
+    loop.
 
 :class:`ShmRing` / :class:`ShmRingReader`
     One ``multiprocessing.shared_memory`` block per worker, split into
-    ``segments`` fixed-size segments (default 2: double buffering — the
+    :data:`RING_SEGMENTS` fixed-size segments (double buffering — the
     parent fills one segment while the worker drains the other).  A
     segment carries up to ``slots`` records of two little-endian
     ``int64`` arrays (codes, then weights); its one-byte status flag is
@@ -83,6 +83,10 @@ HEADER_BYTES = 64
 #: bytes per (code, weight) record — two little-endian int64s
 RECORD_BYTES = 16
 
+#: segments per worker ring: 2 is double buffering (the parent fills
+#: one while the worker drains the other)
+RING_SEGMENTS = 2
+
 def segment_bytes(slots: int) -> int:
     """On-disk size of one ring segment holding up to ``slots`` records."""
     return HEADER_BYTES + slots * RECORD_BYTES
@@ -97,36 +101,23 @@ def route_coded(
     parts: int,
     how: str = "hash",
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Split a pre-aggregated chunk across ``parts`` workers.
+    """Split a pre-aggregated chunk across ``parts`` workers by hash.
 
-    Mirrors :func:`repro.workloads.partition.partition` semantics on
-    the *distinct* pairs: ``hash`` gives every element a home shard
-    (all its occurrences, in every chunk, land on one worker — the
-    key-value is the shard selector, so the full-stream Space Saving
-    guarantees hold per shard); ``round_robin`` and ``block`` spread
-    the distinct pairs positionally, splitting elements across shards.
+    Every element gets a home shard (all its occurrences, in every
+    chunk, land on one worker — the key-value is the shard selector,
+    so the full-stream Space Saving guarantees hold per shard).
+    ``how`` names the strategy for callers that spell it out; ``hash``
+    is the only one.
     """
+    if how != "hash":
+        raise StreamError(f"unknown partitioning {how!r}; only 'hash' routes")
     if parts < 1:
         raise StreamError(f"parts must be >= 1, got {parts}")
     if parts == 1 or not len(codes):
         return [(codes, weights)] + [
             (codes[:0], weights[:0]) for _ in range(parts - 1)
         ]
-    if how == "hash":
-        shards = (codes >> 1) % parts
-    elif how == "round_robin":
-        shards = np.arange(len(codes), dtype=np.int64) % parts
-    elif how == "block":
-        bounds = np.linspace(0, len(codes), parts + 1).astype(np.int64)
-        return [
-            (codes[bounds[i]: bounds[i + 1]], weights[bounds[i]: bounds[i + 1]])
-            for i in range(parts)
-        ]
-    else:
-        raise StreamError(
-            f"unknown partitioning {how!r}; pick one of "
-            "['block', 'hash', 'round_robin']"
-        )
+    shards = (codes >> 1) % parts
     return [
         (codes[shards == index], weights[shards == index])
         for index in range(parts)

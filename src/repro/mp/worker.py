@@ -23,11 +23,11 @@ processes so the GIL is out of the picture.  The loop is command-driven:
     the reply queue, and failing to deliver the ack must never turn a
     clean shutdown into a crash exit — so it is swallowed, not raised.
 
-With ``beacon_every > 0`` the worker additionally ships an
-``(index, "beacon", snapshot)`` message every that many drained
-batches: a tiny registry-shaped snapshot (``mp.beacon.<i>.*`` names
-from the catalogue) carrying elements processed, batches drained and
-the live shm-ring occupancy.  Beacons are advisory telemetry — an
+Every :data:`BEACON_EVERY` drained batches the worker additionally
+ships an ``(index, "beacon", snapshot)`` message: a tiny
+registry-shaped snapshot (``mp.beacon.<i>.*`` names from the
+catalogue) carrying elements processed, batches drained and the live
+shm-ring occupancy.  Beacons are advisory telemetry — an
 undeliverable beacon is dropped, never raised — and the parent folds
 only the latest one per worker.
 
@@ -60,6 +60,9 @@ CRASH_EXIT_CODE = 17
 
 #: how long a ``fault="hang"`` worker sleeps (far beyond any test timeout)
 _HANG_SECONDS = 600.0
+
+#: drained batches between telemetry beacons
+BEACON_EVERY = 32
 
 
 def beacon_snapshot(
@@ -102,7 +105,6 @@ def shard_main(
     fault: Optional[str],
     trace: bool,
     ring: Tuple[str, int, int],
-    beacon_every: int = 0,
 ) -> None:
     """Entry point of one worker process (top-level: spawn-safe).
 
@@ -133,7 +135,7 @@ def shard_main(
                     codes, weights = reader.read(message[1], message[2])
                     shard.process_weighted(zip(codes, weights))
                 batches_done += 1
-                if beacon_every and batches_done % beacon_every == 0:
+                if batches_done % BEACON_EVERY == 0:
                     put_beacon(
                         replies, index, shard.processed, batches_done,
                         reader.busy_segments(),

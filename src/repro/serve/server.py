@@ -89,9 +89,8 @@ class ServeConfig:
     capacity: int = 256
     threads: int = 4                    #: simulated engine (cots-sim)
     workers: int = 2                    #: multiprocess engines
-    epsilon: float = 0.001              #: sketch engines
-    delta: float = 0.01
-    seed: int = 0
+    epsilon: float = 0.001              #: sketch-cm-vec, mp-one-table
+    seed: int = 0                       #: sketch engines
     batch_events: int = 2048            #: micro-batch size (elements)
     batch_interval: float = 0.05        #: partial-batch flush period (s)
     max_pending_batches: int = 16       #: backpressure budget (batches)
@@ -100,7 +99,6 @@ class ServeConfig:
     max_buffer_bytes: int = 1 << 20     #: slow-subscriber disconnect line
     metrics_port: Optional[int] = None  #: Prometheus text endpoint (None = off)
     watchdog_interval: float = 0.5      #: telemetry sample + SLO eval period (s)
-    window_samples: int = 120           #: rolling-window ring size (samples)
     probe_keys: int = 128               #: shadow-truth accuracy probe keys (0 = off)
     fault: Optional[str] = None         #: testing-only serve fault injection
 
@@ -113,7 +111,7 @@ class ServeConfig:
         for field, minimum in (
             ("capacity", 1), ("batch_events", 1), ("max_pending_batches", 1),
             ("max_frame_bytes", 1024), ("max_buffer_bytes", 1024),
-            ("window_samples", 2), ("probe_keys", 0),
+            ("probe_keys", 0),
         ):
             if getattr(self, field) < minimum:
                 raise ConfigurationError(
@@ -227,7 +225,12 @@ class StreamServer:
         self._m_events = m.counter("serve.ingest.events")
         self._m_frames = m.counter("serve.ingest.frames")
         self._m_rejected = m.counter("serve.ingest.rejected")
-        self._m_batch_fill = m.histogram("serve.batch.fill")
+        # powers of two up to a full batch, so full batches stay out of
+        # the overflow bucket
+        fill_buckets = tuple(
+            1 << i for i in range((config.batch_events - 1).bit_length())
+        ) + (config.batch_events,)
+        self._m_batch_fill = m.histogram("serve.batch.fill", fill_buckets)
         self._m_flush_seconds = m.histogram(
             "serve.batch.flush_seconds", TIME_BUCKETS
         )
@@ -255,7 +258,7 @@ class StreamServer:
         self._m_alerts_firing = m.gauge("serve.alerts.firing")
         self._m_alert_transitions = m.counter("serve.alerts.transitions")
         # -- live telemetry plane ---------------------------------------
-        self._live = RollingWindow(config.window_samples)
+        self._live = RollingWindow()
         # the deployment's real staleness bound drives the static rule:
         # fire when acked events stay invisible well past the promise
         # (the slack absorbs one watchdog tick + one slow backend ingest)
@@ -285,7 +288,6 @@ class StreamServer:
                 threads=cfg.threads,
                 workers=cfg.workers,
                 epsilon=cfg.epsilon,
-                delta=cfg.delta,
                 seed=cfg.seed,
                 metrics=self.metrics if self.metrics.enabled else None,
             ),
@@ -518,7 +520,7 @@ class StreamServer:
         if worst is None:
             return
         self._m_probe_over.set(worst)
-        if self.config.backend != "sketch-cs-vec" and bound > 0:
+        if bound > 0:
             self._m_probe_excess.set(max(0.0, float(worst - bound)))
 
     def _full_snapshot(self) -> Dict[str, Dict]:

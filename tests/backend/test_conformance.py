@@ -39,10 +39,7 @@ def conformance_truth(conformance_stream):
 
 
 def _make(name, workers=2):
-    return create_backend(
-        name, capacity=96, threads=2, workers=workers,
-        chunk_elements=512, timeout=60.0,
-    )
+    return create_backend(name, capacity=96, threads=2, workers=workers)
 
 
 @pytest.fixture(params=BACKEND_NAMES)

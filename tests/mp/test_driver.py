@@ -24,7 +24,7 @@ def test_run_mp_result_shape(stream):
     assert result.seconds == result.wall_seconds
     assert result.throughput > 0
     assert result.counter.processed == len(stream)
-    assert result.extras["partition_how"] == "hash"
+    assert result.extras["mode"] == "sharded"
 
 
 def test_run_mp_equivalent_to_sequential(stream):

@@ -58,8 +58,6 @@ def stream():
 
 def test_config_rejects_incompatible_mode_combinations():
     with pytest.raises(ConfigurationError):
-        MPConfig(workers=2, mode="one_table", partition_how="round_robin")
-    with pytest.raises(ConfigurationError):
         MPConfig(workers=2, mode="banded")
 
 
@@ -219,8 +217,7 @@ def test_worker_hard_exit_propagates_typed_crash():
 
 def test_hung_worker_propagates_typed_timeout():
     pool = OneTablePool(
-        _config(1, chunk_elements=4, queue_depth=2, fault="hang",
-                timeout=0.4)
+        _config(1, chunk_elements=4, fault="hang", timeout=0.4)
     )
     with pytest.raises(WorkerTimeoutError):
         pool.count(range(400))

@@ -143,7 +143,6 @@ def test_hung_worker_propagates_typed_timeout():
             workers=1,
             capacity=32,
             chunk_elements=4,
-            queue_depth=2,
             fault="hang",
             timeout=0.4,
         )
@@ -172,28 +171,9 @@ def test_config_validation():
         dict(workers=0),
         dict(capacity=0),
         dict(chunk_elements=0),
-        dict(partition_how="bogus"),
         dict(timeout=0),
-        dict(queue_depth=0),
-        dict(start_method="threads"),
         dict(fault="explode"),
-        dict(ring_segments=0),
     ):
         with pytest.raises(ConfigurationError):
             MPConfig(**bad)
 
-
-def test_round_robin_partitioning_also_merges_correctly(stream):
-    """Non-hash routing splits an element across shards; the merge's
-    error widening must still keep estimates upper bounds."""
-    from collections import Counter
-
-    truth = Counter(stream)
-    with ShardedProcessPool(
-        MPConfig(workers=3, capacity=256, partition_how="round_robin")
-    ) as pool:
-        pool.count(stream)
-        merged = pool.merged()
-    for element, count in truth.most_common(5):
-        assert merged.estimate(element) >= count
-        assert merged.estimate(element) - merged.error(element) <= count

@@ -38,14 +38,10 @@ def _canonical(counter):
     )
 
 
-def _run(stream, capacity, how="hash"):
-    config = MPConfig(
-        workers=3,
-        capacity=capacity,
-        chunk_elements=512,
-        partition_how=how,
+def _run(stream, capacity):
+    return run_mp(
+        stream, MPConfig(workers=3, capacity=capacity, chunk_elements=512)
     )
-    return run_mp(stream, config)
 
 
 def _sequential(stream, capacity):
@@ -58,16 +54,15 @@ def test_adversarial_matrix_is_nonempty():
     assert ADVERSARIAL == ["eviction-poison", "hot-key-flood"]
 
 
-@pytest.mark.parametrize("how", ["hash", "round_robin", "block"])
 @pytest.mark.parametrize("name", ADVERSARIAL)
-def test_transports_match_exactly_at_ample_capacity(name, how):
+def test_transports_match_exactly_at_ample_capacity(name):
     """Capacity above the distinct-key count: the shm plane and
     sequential Space Saving must produce the identical multiset of
     exact counts, even though the poison stream is ~95% singletons
     (worst case for chunk dedup)."""
     stream = SCENARIOS[name].build(_PARAMS)
     ample = len(set(stream)) + 16
-    shm = _run(stream, ample, how)
+    shm = _run(stream, ample)
     sequential = _sequential(stream, ample)
     assert _canonical(shm.counter) == _canonical(sequential)
     assert shm.elements == sequential.processed == len(stream)

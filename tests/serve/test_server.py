@@ -187,6 +187,29 @@ def test_backpressure_flood_is_refused_not_dropped():
     _run(main())
 
 
+def test_full_batch_fill_stays_out_of_the_overflow_bucket():
+    """``serve.batch.fill`` buckets reach ``batch_events``: at the
+    default config one full micro-batch lands in the last bucket."""
+    async def main():
+        metrics = MetricsRegistry()
+        config = ServeConfig(port=0)
+        async with StreamServer(config, metrics=metrics) as server:
+            client = await _Client.connect(server.port)
+            events = list(range(config.batch_events))
+            reply = await client.request({"op": "ingest", "events": events})
+            assert reply["ok"], reply
+            flushed = await client.request({"op": "flush"})
+            assert flushed["processed"] == config.batch_events
+            await client.close()
+        fill = metrics.snapshot()["histograms"]["serve.batch.fill"]
+        assert fill["count"] == 1
+        assert fill["buckets"][-1] == config.batch_events
+        assert fill["counts"][-1] == 0          # the overflow bucket
+        assert fill["counts"][-2] == 1
+
+    _run(main())
+
+
 # ----------------------------------------------------------------------
 # Subscriptions: continuous (period) and interval (every) pushes
 # ----------------------------------------------------------------------

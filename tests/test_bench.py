@@ -225,7 +225,6 @@ def test_mp_suite_report_shape(micro_mp_scale):
         assert entry["startup_seconds"] > 0
         assert entry["speedup_vs_sequential"] > 0
         assert entry["equivalent"] is True
-        assert entry["partition_how"] == "hash"
         assert entry["peak_rss_kb"] > 0
 
     text = bench.format_report(report)
