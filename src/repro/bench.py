@@ -338,8 +338,11 @@ def _bench_hot_path(params: Dict[str, Any]) -> List[Dict[str, Any]]:
     batched_secs = _best_of(repeats, run_batched)
     base = per_element_holder["counter"]
     fast = batched_holder["counter"]
+    # ordered as well as canonical: the order inside a bucket decides
+    # which key a later overwrite evicts, and a sorted state hides it
     identical = (
         _canonical_state(base) == _canonical_state(fast)
+        and base.entries() == fast.entries()
         and base.processed == fast.processed
     )
     length = len(stream)

@@ -82,8 +82,9 @@ class StreamCodec:
         Returns two aligned ``int64`` arrays: each distinct element of
         ``chunk`` appears once with its occurrence count.  Applying the
         pairs in order is equivalent to consuming the chunk with equal
-        elements grouped together (the same reordering latitude the
-        batched ``process_many`` lane already documents).
+        elements grouped together.  That reorders the chunk, so unlike
+        ``SpaceSaving.process_many`` (exact per element) the summary it
+        feeds depends on where the chunk boundaries fall.
         """
         if not len(chunk):
             empty = np.empty(0, dtype=np.int64)

@@ -25,13 +25,38 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-from typing import Iterable, List, Optional, Tuple
+import operator
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.counters import CounterEntry, Element
 from repro.core.stream_summary import StreamSummary
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry, coerce
 from repro.obs.tracing import Tracer, coerce_tracer
+
+
+def _runs(chunk: List[Element]) -> Iterator[Tuple[Element, int]]:
+    """``(element, run length)`` for each run of equal consecutive
+    elements of ``chunk``.
+
+    The comparisons run at C speed; only the positions that continue a
+    run reach Python code, and a chunk without any costs no list.
+    """
+    repeats = list(
+        itertools.compress(
+            itertools.count(1),
+            map(operator.eq, itertools.islice(chunk, 1, None), chunk),
+        )
+    )
+    if not repeats:
+        return zip(chunk, itertools.repeat(1))
+    heads = bytearray(b"\x01") * len(chunk)  # 1 where a run starts
+    lengths = [1] * (len(chunk) - len(repeats))
+    for merged, position in enumerate(repeats):
+        heads[position] = 0
+        # the merged repeats before it shift its run's number down
+        lengths[position - 1 - merged] += 1
+    return zip(itertools.compress(chunk, heads), lengths)
 
 
 class SpaceSaving:
@@ -192,24 +217,25 @@ class SpaceSaving:
     def process_many(self, elements: Iterable[Element]) -> None:
         """Consume every element of an iterable through the batched lane.
 
-        The stream is consumed in chunks.  Each chunk is pre-aggregated
-        with :class:`collections.Counter`; when the chunk cannot trigger
-        an eviction (every distinct element is either already monitored
-        or fits in a free counter slot) one bulk update per distinct
-        element is applied — the paper's §5.2.2 amortization, one Stream
-        Summary move covering many occurrences.  Otherwise the chunk runs
-        through a validated-once tight loop that still fuses runs of
-        consecutive identical elements (always exactly equivalent to the
-        per-element path) and inlines the unit-increment fast lane.
+        The stream is consumed in chunks, each through one of two lanes
+        of the :meth:`_apply_pairs` kernel.  When the chunk cannot
+        trigger an eviction (its distinct unmonitored elements fit in
+        the free counters) it is pre-aggregated with
+        :class:`collections.Counter` and one bulk update per distinct
+        element is applied, in *last-occurrence* order — the paper's
+        §5.2.2 amortization, one Stream Summary move covering many
+        occurrences.  Otherwise (always, once the summary is full and
+        the chunk holds an unmonitored element) the chunk runs *fused*:
+        one ``(element, run)`` update per run of equal consecutive
+        elements, overwrites reusing the evicted node in place.
 
-        Both lanes are observationally identical to calling
-        :meth:`process` per element: same estimates, errors, ``processed``
-        count and eviction behaviour (bucket-internal tie order may
-        differ on the pre-aggregated lane).
+        Both lanes are exactly equivalent to calling :meth:`process` per
+        element: same estimates, errors, ``processed`` count, eviction
+        victims and ordered :meth:`entries`.  Without evictions each
+        element reaches its final bucket at its last occurrence, so bulk
+        updates applied in last-occurrence order attach in the order the
+        per-element loop does.
         """
-        summary = self.summary
-        nodes = summary._nodes
-        capacity = self.capacity
         tracer = self.tracer
         iterator = iter(elements)
         while True:
@@ -218,96 +244,134 @@ class SpaceSaving:
                 return
             if tracer.enabled:
                 trace_start = tracer.now()
-            counts = collections.Counter(chunk)
-            new = 0
-            for element in counts:
-                if element not in nodes:
-                    new += 1
-            bulk_lane = len(nodes) + new <= capacity
-            if bulk_lane:
-                # no eviction possible: bulk updates commute
-                increment = summary.increment
-                insert = summary.insert
-                m_increment = self._m_increments.inc
-                m_insert = self._m_inserts.inc
-                m_min_hit = self._m_min_hits.inc
-                get = nodes.get
-                for element, count in counts.items():
-                    node = get(element)
-                    if node is not None:
-                        if node.bucket is summary._min:
-                            m_min_hit()
-                        m_increment()
-                        increment(element, count)
-                    else:
-                        m_insert()
-                        insert(element, count=count, error=0)
+            args = {"elements": len(chunk)}
+            if self._fits(chunk):
+                # no eviction possible: bulk updates in last-occurrence
+                # order land like the per-element loop
+                lane = "lane.preaggregated"
+                counts = collections.Counter(chunk)
+                # each key as its first occurrence (the object the loop
+                # inserts), by last occurrence: a repeated key keeps its
+                # dict slot and takes the earlier value
+                backwards = chunk[::-1]
+                keys = list(dict(zip(backwards, backwards)).values())
+                keys.reverse()
+                args["distinct"] = len(keys)
+                self._apply_pairs(zip(keys, map(counts.__getitem__, keys)))
             else:
-                self._process_chunk(chunk)
+                lane = "lane.fused"
+                self._apply_pairs(_runs(chunk))
             self._m_occurrences.inc(len(chunk))
             self._processed += len(chunk)
             if tracer.enabled:
                 tracer.add_span(
-                    "spacesaving",
-                    "lane.preaggregated" if bulk_lane else "lane.fused",
-                    "core",
-                    trace_start,
-                    tracer.now(),
-                    {"elements": len(chunk), "distinct": len(counts)},
+                    "spacesaving", lane, "core",
+                    trace_start, tracer.now(), args,
                 )
 
-    def _process_chunk(self, chunk: List[Element]) -> None:
-        """Tight per-element loop: exact Algorithm 1 order, runs fused."""
+    def _fits(self, chunk: List[Element]) -> bool:
+        """Whether ``chunk`` cannot evict: its distinct unmonitored
+        elements fit in the free counters.  Stops at the first element
+        past the free count, so a full summary stops at the first
+        unmonitored element."""
+        nodes = self.summary._nodes
+        free = self.capacity - len(nodes)
+        unseen = set()
+        for element in itertools.filterfalse(nodes.__contains__, chunk):
+            unseen.add(element)
+            if len(unseen) > free:
+                return False
+        return True
+
+    def _apply_pairs(self, pairs: Iterable[Tuple[Element, int]]) -> int:
+        """The update kernel: Algorithm 1 for ``(element, weight)`` pairs.
+
+        Each pair is exactly equivalent to ``weight`` consecutive
+        occurrences of ``element``.  A monitored element moves up by
+        ``weight``; an unmonitored one takes a free slot at ``weight``,
+        or else *overwrites in place*: the minimum bucket's head node
+        (the victim :meth:`StreamSummary.evict_min` would pick) is
+        re-keyed to the new element with error ``min``, then moved up
+        by ``weight`` like a monitored node.  The victim and every
+        bucket's node order match evict-then-insert, so the reuse saves
+        the node allocation and bucket walk without changing any answer.
+
+        Validates every weight and returns the occurrences applied; the
+        ``core.spacesaving.occurrences`` counter and ``processed`` are
+        the caller's to update.
+        """
         summary = self.summary
         nodes = summary._nodes
         get = nodes.get
         capacity = self.capacity
-        m_increment = self._m_increments.inc
-        m_insert = self._m_inserts.inc
-        m_overwrite = self._m_overwrites.inc
-        m_min_hit = self._m_min_hits.inc
-        index = 0
-        length = len(chunk)
-        while index < length:
-            element = chunk[index]
-            stop = index + 1
-            while stop < length and chunk[stop] == element:
-                stop += 1
-            run = stop - index
-            index = stop
-            node = get(element)
-            if node is not None:
-                # inlined unit/bulk increment fast lane (see
-                # StreamSummary.increment_node)
-                source = node.bucket
-                if source is summary._min:
-                    m_min_hit()
-                m_increment()
-                target_freq = source.freq + run
-                nxt = source.next
-                if source.size == 1 and (
-                    nxt is None or nxt.freq > target_freq
-                ):
-                    source.freq = target_freq
-                    summary._total += run
-                elif nxt is not None and nxt.freq == target_freq:
-                    source.detach(node)
-                    nxt.attach(node)
-                    if source.size == 0:
-                        summary._remove_bucket(source)
-                    summary._total += run
+        monitored = len(nodes)
+        # operation counts and the summary's total are kept in locals and
+        # published once per call (also when a bad weight aborts it)
+        total = moved = increments = min_hits = overwrites = 0
+        try:
+            for element, weight in pairs:
+                if weight < 1:
+                    raise ConfigurationError(
+                        f"weight must be >= 1, got {weight} for {element!r}"
+                    )
+                total += weight
+                node = get(element)
+                if node is not None:
+                    source = node.bucket
+                    if source is summary._min:
+                        min_hits += 1
+                    increments += 1
+                elif len(nodes) < capacity:
+                    summary.insert(element, count=weight, error=0)
+                    continue
                 else:
-                    summary.increment_node(node, run)
-            elif len(nodes) < capacity:
-                m_insert()
-                summary.insert(element, count=run, error=0)
-            else:
-                m_overwrite()
-                min_freq = summary.min_freq
-                summary.evict_min()
-                summary.insert(
-                    element, count=min_freq + run, error=min_freq
-                )
+                    overwrites += 1
+                    source = summary._min
+                    node = source.head
+                    del nodes[node.element]
+                    node.element = element
+                    node.error = source.freq
+                    nodes[element] = node
+                # inlined fast lanes of StreamSummary.increment_node
+                target_freq = source.freq + weight
+                nxt = source.next
+                if source.size == 1:
+                    if nxt is None or nxt.freq > target_freq:
+                        # alone and nothing in the way: bump in place
+                        source.freq = target_freq
+                        moved += weight
+                        continue
+                elif nxt is not None and nxt.freq == target_freq:
+                    # move to the tail of the next bucket; the source
+                    # keeps at least one node
+                    before = node.prev
+                    after = node.next
+                    if before is None:
+                        source.head = after
+                    else:
+                        before.next = after
+                    if after is None:
+                        source.tail = before
+                    else:
+                        after.prev = before
+                    source.size -= 1
+                    tail = nxt.tail
+                    tail.next = node
+                    node.prev = tail
+                    node.next = None
+                    node.bucket = nxt
+                    nxt.tail = node
+                    nxt.size += 1
+                    moved += weight
+                    continue
+                summary.increment_node(node, weight)
+        finally:
+            summary._total += moved
+            self._m_increments.inc(increments)
+            self._m_inserts.inc(len(nodes) - monitored)
+            self._m_overwrites.inc(overwrites)
+            self._m_min_hits.inc(min_hits)
+        return total
 
     def process_weighted(
         self, pairs: Iterable[Tuple[Element, int]]
@@ -317,72 +381,26 @@ class SpaceSaving:
         The batched form of :meth:`process_bulk`: each pair is exactly
         equivalent to ``weight`` consecutive occurrences of ``element``
         (increment by ``weight`` when monitored, insert at ``weight``
-        when a slot is free, otherwise overwrite the minimum at
-        ``min + weight`` with error ``min``).  This is the worker-side
-        lane of the multiprocess shared-memory transport, whose parent
-        pre-aggregates every dispatch chunk into distinct pairs — the
-        loop runs once per *distinct* element, not once per occurrence.
+        when a slot is free, otherwise overwrite the minimum in place at
+        ``min + weight`` with error ``min``; see :meth:`_apply_pairs`).
+        This is the worker-side lane of the multiprocess shared-memory
+        transport, whose parent pre-aggregates every dispatch chunk into
+        distinct pairs — the loop runs once per *distinct* element, not
+        once per occurrence.  A weight below 1 raises
+        :class:`~repro.errors.ConfigurationError`.
         """
         tracer = self.tracer
         if tracer.enabled:
             trace_start = tracer.now()
-        summary = self.summary
-        nodes = summary._nodes
-        get = nodes.get
-        capacity = self.capacity
-        m_increment = self._m_increments.inc
-        m_insert = self._m_inserts.inc
-        m_overwrite = self._m_overwrites.inc
-        m_min_hit = self._m_min_hits.inc
-        total = 0
-        distinct = 0
-        for element, weight in pairs:
-            if weight < 1:
-                raise ConfigurationError(
-                    f"weight must be >= 1, got {weight} for {element!r}"
-                )
-            total += weight
-            distinct += 1
-            node = get(element)
-            if node is not None:
-                # inlined unit/bulk increment fast lane (mirrors
-                # _process_chunk's run handling)
-                source = node.bucket
-                if source is summary._min:
-                    m_min_hit()
-                m_increment()
-                target_freq = source.freq + weight
-                nxt = source.next
-                if source.size == 1 and (
-                    nxt is None or nxt.freq > target_freq
-                ):
-                    source.freq = target_freq
-                    summary._total += weight
-                elif nxt is not None and nxt.freq == target_freq:
-                    source.detach(node)
-                    nxt.attach(node)
-                    if source.size == 0:
-                        summary._remove_bucket(source)
-                    summary._total += weight
-                else:
-                    summary.increment_node(node, weight)
-            elif len(nodes) < capacity:
-                m_insert()
-                summary.insert(element, count=weight, error=0)
-            else:
-                m_overwrite()
-                min_freq = summary.min_freq
-                summary.evict_min()
-                summary.insert(
-                    element, count=min_freq + weight, error=min_freq
-                )
+            pairs = list(pairs)
+        total = self._apply_pairs(pairs)
         self._m_occurrences.inc(total)
         self._processed += total
         if tracer.enabled:
             tracer.add_span(
                 "spacesaving", "lane.weighted", "core",
                 trace_start, tracer.now(),
-                {"occurrences": total, "distinct": distinct},
+                {"occurrences": total, "distinct": len(pairs)},
             )
 
     # ------------------------------------------------------------------
