@@ -2,8 +2,8 @@
 
 ``Backend`` (``ingest`` / ``snapshot`` / ``query`` / ``close``) is the
 single driver surface for the sequential baseline, the simulated CoTS
-framework, both multiprocess modes (sharded and one-table) and the
-vectorized sketch engines; :mod:`repro.backend.algebra`
+framework, both multiprocess pools (sharded and one-table) and the
+vectorized Count-Min engine; :mod:`repro.backend.algebra`
 gives their summaries a uniform serialize/merge/widen algebra so any
 backend's answer composes with any other's.
 
@@ -18,7 +18,6 @@ from repro.backend.adapters import (
     MPBackend,
     SequentialBackend,
     SketchCMVecBackend,
-    SketchCSVecBackend,
 )
 from repro.backend.algebra import (
     deserialize,
@@ -30,6 +29,7 @@ from repro.backend.algebra import (
 from repro.backend.base import Backend, Snapshot
 from repro.backend.registry import (
     BACKEND_NAMES,
+    MERGED_BACKENDS,
     SKETCH_BACKENDS,
     create_backend,
 )
@@ -38,11 +38,11 @@ __all__ = [
     "BACKEND_NAMES",
     "Backend",
     "CotsSimBackend",
+    "MERGED_BACKENDS",
     "MPBackend",
     "SKETCH_BACKENDS",
     "SequentialBackend",
     "SketchCMVecBackend",
-    "SketchCSVecBackend",
     "Snapshot",
     "create_backend",
     "deserialize",

@@ -13,15 +13,19 @@ Two engine families need a note:
   ingested batches and re-runs the driver per snapshot.  That is the
   honest cost of querying a simulation mid-stream; the conformance
   tests treat it like any other backend.
-* **Sketch adapters** (``sketch-cm-vec``, ``sketch-cs-vec``): a pure
-  sketch cannot enumerate keys, so the adapters pair the table with a bounded Space Saving
-  *candidate identifier* fed from each chunk's heaviest codes (the same
-  scheme the one-table pool uses).  Every reported count is read from
-  the sketch table; the identifier only chooses *which* keys to report.
+* **Sketch adapters** (``sketch-cm-vec``, ``mp-one-table``): a pure
+  sketch cannot enumerate keys, so the table is paired with a bounded
+  Space Saving *candidate identifier* fed from each chunk's heaviest
+  codes.  Every reported count is read from the sketch table; the
+  identifier only chooses *which* keys to report.  Because that choice
+  is heuristic, a key outside the candidates is answered by the
+  snapshot's frozen ``estimator`` (a read of a table copy), never by
+  the error bound.
 """
 
 from __future__ import annotations
 
+import copy
 import time
 from typing import List, Optional, Sequence
 
@@ -30,7 +34,6 @@ import numpy as np
 from repro.backend.base import Element, Snapshot
 from repro.core.counters import CounterEntry
 from repro.core.sketches.count_min import CountMinSketch
-from repro.core.sketches.count_sketch import CountSketch
 from repro.core.space_saving import SpaceSaving
 from repro.errors import BackendError
 from repro.obs.registry import TIME_BUCKETS, coerce
@@ -150,16 +153,9 @@ class CotsSimBackend(_Instrumented):
 class MPBackend(_Instrumented):
     """Multiprocess pools (sharded and one-table) as backends."""
 
-    def __init__(self, config, name: str, metrics=None) -> None:
+    def __init__(self, pool_cls, config, name: str, metrics=None) -> None:
         super().__init__(metrics)
         self.name = name
-        from repro.mp.one_table import OneTablePool
-        from repro.mp.pool import ShardedProcessPool
-
-        pool_cls = (
-            OneTablePool if config.mode == "one_table"
-            else ShardedProcessPool
-        )
         self._pool = pool_cls(config, metrics=metrics)
 
     def ingest(self, batch: Sequence[Element]) -> int:
@@ -167,26 +163,39 @@ class MPBackend(_Instrumented):
         sent = self._pool.count(batch)
         return self._meter_ingest(sent)
 
+    def _view(self):
+        """(merged summary, error bound, point estimator or None)."""
+        from repro.mp.one_table import OneTablePool
+
+        merged = self._pool.merged()
+        if isinstance(self._pool, OneTablePool):
+            # entries carry their band's widened bound; the worst band
+            # covers them all, and a table copy answers unmonitored keys
+            bound = int(self._pool.band_bounds().max(initial=0))
+            return merged, bound, self._pool.sketch().estimate
+        return merged, merged.max_error(), None
+
     def snapshot(self) -> Snapshot:
         self._ensure_open()
         started = time.perf_counter()
-        merged = self._pool.merged()
+        merged, bound, estimator = self._view()
         snap = Snapshot(
             scheme=self.name,
             processed=merged.processed,
             entries=merged.entries(),
-            error_bound=merged.max_error(),
-            extras={
-                "workers": self._pool.workers,
-                "mode": self._pool.config.mode,
-            },
+            error_bound=bound,
+            extras={"workers": self._pool.workers},
+            estimator=estimator,
         )
         self._m_snapshot_seconds.observe(time.perf_counter() - started)
         return snap
 
     def estimate(self, element: Element) -> int:
         self._ensure_open()
-        return self._pool.merged().estimate(element)
+        merged, _, estimator = self._view()
+        if estimator is None:
+            return merged.estimate(element)
+        return estimator(element)
 
     def telemetry(self) -> dict:
         """Latest worker beacons merged into one registry-shaped snapshot.
@@ -207,8 +216,8 @@ class MPBackend(_Instrumented):
         super().close()
 
 
-class _VectorSketchBackend(_Instrumented):
-    """Shared ingest loop of the vectorized sketch backends.
+class SketchCMVecBackend(_Instrumented):
+    """Vectorized Count-Min: NumPy kernels on the coded chunk lane.
 
     Chunks are coded through the sketch's own codec and land via the
     vectorized ``process_weighted`` lane; each chunk's heaviest codes
@@ -216,9 +225,18 @@ class _VectorSketchBackend(_Instrumented):
     it — every reported number is a table read).
     """
 
-    def __init__(self, sketch, capacity: int, metrics=None) -> None:
+    name = "sketch-cm-vec"
+
+    def __init__(
+        self,
+        capacity: int = 256,
+        epsilon: float = 0.001,
+        delta: float = 0.01,
+        seed: Optional[int] = 0,
+        metrics=None,
+    ) -> None:
         super().__init__(metrics)
-        self._sketch = sketch
+        self._sketch = CountMinSketch(epsilon=epsilon, delta=delta, seed=seed)
         self._capacity = capacity
         self._hot = SpaceSaving(capacity=capacity)
         self._m_updates = self.metrics.counter("sketch.updates")
@@ -243,87 +261,41 @@ class _VectorSketchBackend(_Instrumented):
             self._m_cells.inc(n * self._sketch.depth)
         return self._meter_ingest(len(batch))
 
-    def _error_bound(self) -> int:
-        raise NotImplementedError
-
     def snapshot(self) -> Snapshot:
         started = time.perf_counter()
-        decode = self._sketch.codec.decode
+        sketch = self._sketch
+        bound = sketch.error_bound()
+        decode = sketch.codec.decode
         entries = sorted(
             (
                 CounterEntry(
                     decode(int(code.element)),
-                    self._sketch.estimate_code(int(code.element)),
-                    self._error_bound(),
+                    sketch.estimate_code(int(code.element)),
+                    bound,
                 )
                 for code in self._hot.entries()
             ),
             key=lambda entry: (-entry.count, repr(entry.element)),
         )
         if self.metrics.enabled:
-            table = self._sketch.table
+            table = sketch.table
             self._m_occupancy.set(
                 float(np.count_nonzero(table)) / table.size
             )
+        # the frozen estimator reads a table copy through the live
+        # codec: codes are append-only, so later keys never move
+        frozen = copy.copy(sketch)
+        frozen._table = sketch._table.copy()
         snap = Snapshot(
             scheme=self.name,
-            processed=self._sketch.processed,
+            processed=sketch.processed,
             entries=entries,
-            error_bound=self._error_bound(),
-            extras={
-                "depth": self._sketch.depth,
-                "width": self._sketch.width,
-            },
+            error_bound=bound,
+            extras={"depth": sketch.depth, "width": sketch.width},
+            estimator=frozen.estimate,
         )
         self._m_snapshot_seconds.observe(time.perf_counter() - started)
         return snap
 
     def estimate(self, element: Element) -> int:
         return self._sketch.estimate(element)
-
-
-class SketchCMVecBackend(_VectorSketchBackend):
-    """Vectorized Count-Min: NumPy kernels on the coded chunk lane."""
-
-    name = "sketch-cm-vec"
-
-    def __init__(
-        self,
-        capacity: int = 256,
-        epsilon: float = 0.001,
-        delta: float = 0.01,
-        seed: Optional[int] = 0,
-        metrics=None,
-    ) -> None:
-        super().__init__(
-            CountMinSketch(epsilon=epsilon, delta=delta, seed=seed),
-            capacity,
-            metrics,
-        )
-
-    def _error_bound(self) -> int:
-        return self._sketch.error_bound()
-
-
-class SketchCSVecBackend(_VectorSketchBackend):
-    """Vectorized Count Sketch (median-of-signed estimates)."""
-
-    name = "sketch-cs-vec"
-
-    def __init__(
-        self,
-        capacity: int = 256,
-        width: int = 4096,
-        depth: int = 5,
-        seed: Optional[int] = 0,
-        metrics=None,
-    ) -> None:
-        super().__init__(
-            CountSketch(width=width, depth=depth, seed=seed),
-            capacity,
-            metrics,
-        )
-
-    def _error_bound(self) -> int:
-        # Count Sketch error is an L2 quantity; no additive L1 contract
-        return 0

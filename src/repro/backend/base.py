@@ -20,9 +20,10 @@ layers above them need no per-engine glue:
     rejects further ``ingest``.
 
 The contract all implementations share (pinned by the conformance
-tests): estimates upper-bound true counts, ``count - error`` lower
-bounds them, ``processed`` equals the total ingested weight, and
-``snapshot()`` reflects every batch ingested before the call.
+tests): estimates upper-bound true counts and exceed them by at most
+``error_bound``, ``count - error`` lower bounds them, ``processed``
+equals the total ingested weight, and ``snapshot()`` reflects every
+batch ingested before the call.
 
 Engines are built by name with :func:`repro.backend.create_backend`,
 which takes only the sizing knobs (capacity, threads, workers, sketch
@@ -33,7 +34,17 @@ their :class:`~repro.mp.config.MPConfig` defaults.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Hashable, Iterator, List, Protocol, Sequence
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+)
 
 from repro.core.counters import CounterEntry
 
@@ -54,6 +65,13 @@ class Snapshot:
     entries: List[CounterEntry]     #: candidates, descending estimate
     error_bound: int                #: additive bound on any estimate
     extras: Dict[str, Any] = dataclasses.field(default_factory=dict)
+    #: point estimate for keys outside ``entries``, frozen with the
+    #: snapshot.  Sketch engines set it (their candidate set is a
+    #: heuristic, so an unmonitored key may exceed ``error_bound``);
+    #: ``None`` for Space Saving, whose unmonitored keys never do.
+    estimator: Optional[Callable[[Element], int]] = dataclasses.field(
+        default=None, compare=False, repr=False
+    )
 
     def top_k(self, k: int) -> List[CounterEntry]:
         return self.entries[:k]

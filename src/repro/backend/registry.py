@@ -1,9 +1,8 @@
 """Name -> Backend factory registry.
 
-The serve tier (``serve`` / ``serve-bench --backend``) and the
-conformance tests resolve engine names here.  The scenario matrix keeps
-its own table (:data:`repro.scenarios.runner.BACKENDS`): it calls
-``run_mp`` and ``run_cots`` directly, not this protocol.
+The one engine table: the serve tier (``serve`` / ``serve-bench
+--backend``), the scenario accuracy matrix and the conformance tests
+all resolve engine names here and nowhere else.
 
 Factories take one uniform keyword set and ignore what they don't use
 (a sequential counter has no ``workers``); that keeps the call sites
@@ -19,7 +18,6 @@ from repro.backend.adapters import (
     MPBackend,
     SequentialBackend,
     SketchCMVecBackend,
-    SketchCSVecBackend,
 )
 from repro.backend.base import Backend
 from repro.errors import ConfigurationError
@@ -31,12 +29,17 @@ BACKEND_NAMES = (
     "mp-shm",
     "mp-one-table",
     "sketch-cm-vec",
-    "sketch-cs-vec",
 )
 
-#: names whose summaries are sketch reads (estimates upper-bound truth
-#: under a widened eps*N bound; recall is delegated to a candidate set)
-SKETCH_BACKENDS = ("mp-one-table", "sketch-cm-vec", "sketch-cs-vec")
+#: names whose summaries are Count-Min reads (estimates upper-bound
+#: truth under a widened eps*N bound; recall is delegated to a
+#: best-effort candidate set)
+SKETCH_BACKENDS = ("mp-one-table", "sketch-cm-vec")
+
+#: names whose summary folds per-shard summaries: truncating the merge
+#: back to ``capacity`` may drop a borderline heavy hitter, so Space
+#: Saving's recall guarantee is not audited on them
+MERGED_BACKENDS = ("mp-shm",)
 
 
 def create_backend(
@@ -68,24 +71,24 @@ def create_backend(
         )
     if name in ("mp-shm", "mp-one-table"):
         from repro.mp.config import MPConfig
+        from repro.mp.one_table import OneTablePool
+        from repro.mp.pool import ShardedProcessPool
 
         config = MPConfig(
             workers=workers,
             capacity=capacity,
-            mode="one_table" if name == "mp-one-table" else "sharded",
             sketch_epsilon=epsilon,
             sketch_delta=delta,
             sketch_seed=seed,
         )
-        return MPBackend(config, name=name, metrics=metrics)
+        pool_cls = (
+            OneTablePool if name == "mp-one-table" else ShardedProcessPool
+        )
+        return MPBackend(pool_cls, config, name=name, metrics=metrics)
     if name == "sketch-cm-vec":
         return SketchCMVecBackend(
             capacity=capacity, epsilon=epsilon, delta=delta, seed=seed,
             metrics=metrics,
-        )
-    if name == "sketch-cs-vec":
-        return SketchCSVecBackend(
-            capacity=capacity, seed=seed, metrics=metrics
         )
     raise ConfigurationError(
         f"unknown backend {name!r}; registered: {list(BACKEND_NAMES)}"

@@ -32,9 +32,9 @@ Three suites (``--suite``):
 
 * ``scenarios`` (→ ``BENCH_scenarios.json``) — the *accuracy* matrix:
   every scenario in :mod:`repro.scenarios` (drift, flash crowds, hot-set
-  churn, and the two adversaries) counted by every backend (sequential
-  batched, simulated CoTS, the mp pools and the sketch lane), scored
-  against exact ground truth.  Gated on zero guarantee violations, never on timing;
+  churn, and the two adversaries) counted by every engine of the
+  backend registry, scored against exact ground truth.  Gated on zero
+  guarantee violations, never on timing;
   see docs/scenarios.md.
 
 Every result entry also records ``peak_rss_kb`` — the process-tree
@@ -163,9 +163,7 @@ SCENARIO_SCALES: Dict[str, Dict[str, Any]] = {
         "k": 10,
         "threads": 4,
         "workers": 2,
-        "chunk_elements": 1_024,
         "seed": 7,
-        "timeout": 120.0,
     },
     "tiny": {
         "length": 4_000,
@@ -174,9 +172,7 @@ SCENARIO_SCALES: Dict[str, Dict[str, Any]] = {
         "k": 10,
         "threads": 4,
         "workers": 2,
-        "chunk_elements": 1_024,
         "seed": 7,
-        "timeout": 120.0,
     },
     "default": {
         "length": 20_000,
@@ -185,9 +181,7 @@ SCENARIO_SCALES: Dict[str, Dict[str, Any]] = {
         "k": 10,
         "threads": 8,
         "workers": 2,
-        "chunk_elements": 4_096,
         "seed": 7,
-        "timeout": 300.0,
     },
     "large": {
         "length": 100_000,
@@ -196,9 +190,7 @@ SCENARIO_SCALES: Dict[str, Dict[str, Any]] = {
         "k": 10,
         "threads": 8,
         "workers": 4,
-        "chunk_elements": 16_384,
         "seed": 7,
-        "timeout": 600.0,
     },
 }
 
@@ -558,12 +550,8 @@ def _bench_scenarios(params: Dict[str, Any]) -> List[Dict[str, Any]]:
     (especially) the adversarial rows, because the adversaries are built
     to saturate Space Saving's bounds, not to break them.
     """
-    from repro.scenarios import (
-        BACKENDS,
-        SCENARIOS,
-        ScenarioParams,
-        run_scenario,
-    )
+    from repro.backend.registry import BACKEND_NAMES
+    from repro.scenarios import SCENARIOS, ScenarioParams, run_scenario
 
     scenario_params = ScenarioParams(
         length=int(params["length"]),
@@ -574,7 +562,7 @@ def _bench_scenarios(params: Dict[str, Any]) -> List[Dict[str, Any]]:
     k = int(params["k"])
     entries: List[Dict[str, Any]] = []
     for name in SCENARIOS:
-        for backend in BACKENDS:
+        for backend in BACKEND_NAMES:
             run = run_scenario(
                 name,
                 backend,
@@ -582,8 +570,6 @@ def _bench_scenarios(params: Dict[str, Any]) -> List[Dict[str, Any]]:
                 k=k,
                 threads=int(params["threads"]),
                 workers=int(params["workers"]),
-                chunk_elements=int(params["chunk_elements"]),
-                timeout=float(params["timeout"]),
                 metrics=MetricsRegistry(),
             )
             accuracy = run.accuracy
@@ -788,7 +774,6 @@ def _bench_sketch(params: Dict[str, Any]) -> List[Dict[str, Any]]:
                 capacity=capacity,
                 chunk_elements=chunk,
                 timeout=timeout,
-                mode="one_table",
                 sketch_epsilon=epsilon,
                 sketch_delta=delta,
                 sketch_seed=sketch_seed,

@@ -313,6 +313,8 @@ def _build_parser() -> argparse.ArgumentParser:
     schedcheck.add_argument("--verbose", action="store_true",
                             help="print one line per schedule")
 
+    from repro.backend.registry import BACKEND_NAMES
+
     scenarios = commands.add_parser(
         "scenarios",
         help="run stream scenarios/adversaries against a backend and "
@@ -330,10 +332,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     scenarios.add_argument(
         "--backend",
-        choices=("sequential", "cots", "mp-shm", "mp-one-table",
-                 "sketch-cm-vec"),
+        choices=BACKEND_NAMES,
         default="sequential",
-        help="counting backend under test; sketch backends are scored "
+        help="registered engine under test; sketch engines are scored "
         "on Count-Min overestimate bounds (default: sequential)",
     )
     scenarios.add_argument("--length", type=int, default=20_000)
@@ -345,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scenarios.add_argument("--k", type=int, default=10,
                            help="top-k depth for recall/precision")
     scenarios.add_argument("--threads", type=int, default=4,
-                           help="simulated threads (cots backend)")
+                           help="simulated threads (cots-sim backend)")
     scenarios.add_argument("--workers", type=int, default=2,
                            help="worker processes (mp backends)")
     scenarios.add_argument(
@@ -361,8 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
     scenarios.add_argument("--verbose", action="store_true",
                            help="fuzz mode: print one line per "
                            "composition")
-
-    from repro.backend.registry import BACKEND_NAMES
 
     serve = commands.add_parser(
         "serve",
@@ -386,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="worker processes (mp backends)")
     serve.add_argument("--epsilon", type=float, default=0.001,
                        help="Count-Min error bound (sketch-cm-vec and "
-                       "mp-one-table; sketch-cs-vec ignores it)")
+                       "mp-one-table)")
     serve.add_argument("--seed", type=int, default=0,
                        help="sketch hash seed (sketch backends)")
     serve.add_argument("--batch-events", type=int, default=2048,

@@ -1,4 +1,4 @@
-"""Configuration for the multiprocess sharded counting backend.
+"""Configuration for the multiprocess counting pools.
 
 :class:`MPConfig` mirrors :class:`repro.parallel.base.SchemeConfig` — the
 same (workers, capacity) core, validated the same way, raising the same
@@ -18,20 +18,18 @@ from repro.errors import ConfigurationError
 #: fault-injection hooks understood by the worker loop (testing only)
 FAULTS = ("raise", "exit", "hang")
 
-#: counting modes.  ``sharded`` (default) gives every worker a private
-#: Space Saving shard merged at query time.  ``one_table`` follows the
-#: "One Table to Count Them All" design: all workers update a single
-#: shared-memory Count-Min table (each worker owns a disjoint column
-#: band, so updates are race-free without locks) and queries read the
-#: table directly — zero merge, at the cost of a widened eps*N bound
-#: (each element only enjoys its band's width).  Both modes route by
-#: hash, so an element's home shard *is* its column band.
-MODES = ("sharded", "one_table")
-
 
 @dataclasses.dataclass
 class MPConfig:
-    """Parameters of one multiprocess sharded counting run.
+    """Parameters of one multiprocess pool, sharded or one-table.
+
+    The pool class is the mode: :class:`~repro.mp.pool.
+    ShardedProcessPool` gives every worker a private Space Saving shard
+    merged at query time; :class:`~repro.mp.one_table.OneTablePool`
+    has all workers update one shared-memory Count-Min table (each
+    worker owns a disjoint column band) read without a merge, sized by
+    the ``sketch_*`` fields.  The registry picks the class by engine
+    name (``mp-shm`` / ``mp-one-table``).
 
     Tuning notes, in the order the knobs usually matter:
 
@@ -69,7 +67,6 @@ class MPConfig:
     chunk_elements: int = 32_768     #: stream elements per dispatch chunk
     timeout: float = 60.0            #: seconds before a worker is hung
     fault: Optional[str] = None      #: testing-only fault injection
-    mode: str = "sharded"            #: see :data:`MODES`
     sketch_epsilon: float = 0.001    #: one-table Count-Min eps (pre-widening)
     sketch_delta: float = 0.01       #: one-table Count-Min failure probability
     sketch_seed: Optional[int] = 0   #: one-table hash seed (shared by workers)
@@ -94,10 +91,6 @@ class MPConfig:
         if self.fault is not None and self.fault not in FAULTS:
             raise ConfigurationError(
                 f"fault must be one of {FAULTS} or None, got {self.fault!r}"
-            )
-        if self.mode not in MODES:
-            raise ConfigurationError(
-                f"mode must be one of {MODES}, got {self.mode!r}"
             )
         if not 0 < self.sketch_epsilon < 1:
             raise ConfigurationError(

@@ -56,7 +56,7 @@ def run_mp(
     metrics=None,
     tracer=None,
 ) -> MPResult:
-    """Count ``stream`` on a fresh worker pool and return the merged result.
+    """Count ``stream`` on a fresh sharded pool; return the merged result.
 
     The pool is started, fed, queried and always closed — also on error
     paths, so typed worker failures propagate without leaking processes.
@@ -77,40 +77,18 @@ def run_mp(
     :func:`repro.obs.export.write_chrome_trace`.
     """
     config = config or MPConfig()
-    one_table = config.mode == "one_table"
     started = time.perf_counter()
-    if one_table:
-        from repro.mp.one_table import OneTablePool
-
-        pool = OneTablePool(config, metrics=metrics, tracer=tracer)
-    else:
-        pool = ShardedProcessPool(config, metrics=metrics, tracer=tracer)
+    pool = ShardedProcessPool(config, metrics=metrics, tracer=tracer)
     startup = time.perf_counter() - started
     extras = {
         "chunk_elements": config.chunk_elements,
         "capacity": config.capacity,
-        "mode": config.mode,
     }
     try:
         counting_started = time.perf_counter()
         elements = pool.count(stream)
         counter = pool.merged()
         wall = time.perf_counter() - counting_started
-        if one_table:
-            # ingest is quiescent after merged()'s flush; time the pure
-            # query path separately — the zero-merge read is the mode's
-            # entire reason to exist, so benches gate on it
-            query_started = time.perf_counter()
-            counter = pool.merged()
-            extras["snapshot_seconds"] = time.perf_counter() - query_started
-            extras["table"] = {
-                "depth": pool._table.depth,
-                "width": pool._table.width,
-                "band_width": pool._table.band_width,
-                "epsilon": config.sketch_epsilon,
-                "delta": config.sketch_delta,
-                "max_band_bound": int(pool.band_bounds().max(initial=0)),
-            }
     finally:
         pool.close()
     if metrics is not None:
@@ -120,7 +98,7 @@ def run_mp(
             )
         extras["metrics"] = metrics.snapshot()
     return MPResult(
-        scheme="mp-one-table" if one_table else "mp-sharded",
+        scheme="mp-sharded",
         workers=config.workers,
         elements=elements,
         wall_seconds=wall,

@@ -244,11 +244,7 @@ class OneTablePool(ShardedProcessPool):
     def __init__(
         self, config: Optional[MPConfig] = None, metrics=None, tracer=None
     ) -> None:
-        config = config or MPConfig(mode="one_table")
-        if config.mode != "one_table":
-            raise BackendError(
-                f"OneTablePool requires mode='one_table', got {config.mode!r}"
-            )
+        config = config or MPConfig()
         # the reference sketch fixes width/depth/hash parameters; the
         # shared table reproduces its geometry rounded up to a whole
         # number of equal bands

@@ -3,8 +3,8 @@
 The registry (:mod:`repro.scenarios.registry`) names seeded,
 deterministic stream scenarios — benign non-stationarity and white-box
 adversaries against Space Saving's eviction policy.  The runner
-(:mod:`repro.scenarios.runner`) counts any scenario on any backend and
-scores it against exact ground truth; the fuzzer
+(:mod:`repro.scenarios.runner`) counts any scenario on any registered
+backend and scores it against exact ground truth; the fuzzer
 (:mod:`repro.scenarios.fuzzer`) composes scenarios randomly under seeds
 and shrinks any failure to a minimal reproducer with schedcheck's ddmin.
 
@@ -38,23 +38,15 @@ from repro.scenarios.registry import (
     build_stream,
     get_scenario,
 )
-from repro.scenarios.runner import (
-    BACKENDS,
-    SKETCH_BACKENDS,
-    ScenarioRun,
-    run_backend,
-    run_scenario,
-)
+from repro.scenarios.runner import ScenarioRun, run_scenario
 
 __all__ = [
     "ATTACK_KEY_BASE",
     "AccuracyReport",
-    "BACKENDS",
     "FuzzFailure",
     "FuzzReport",
     "LANES",
     "SCENARIOS",
-    "SKETCH_BACKENDS",
     "Scenario",
     "ScenarioParams",
     "ScenarioRun",
@@ -65,7 +57,6 @@ __all__ = [
     "get_scenario",
     "hits_at_k",
     "hot_key_flood_stream",
-    "run_backend",
     "run_scenario",
     "score_accuracy",
     "score_sketch_accuracy",

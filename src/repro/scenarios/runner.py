@@ -1,10 +1,10 @@
 """Run any registered scenario against any counting backend.
 
 One entry point, :func:`run_scenario`, ties the pieces together: build
-the seeded stream, count it with the chosen backend (sequential batched,
-simulated CoTS, the real multiprocess pools, or the vectorized sketch),
-score the result against exact ground truth, and record the
-``scenario.*`` metrics into an optional registry.
+the seeded stream, count it with any engine of the backend registry
+(:data:`repro.backend.BACKEND_NAMES`, built by ``create_backend`` like
+every other caller), score the final snapshot against exact ground
+truth, and record the ``scenario.*`` metrics into an optional registry.
 
 :func:`audit.selfcheck` runs before every scenario, so a corrupted
 scoring helper fails the suite loudly rather than mis-scoring quietly.
@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
+from repro.backend.registry import (
+    MERGED_BACKENDS,
+    SKETCH_BACKENDS,
+    create_backend,
+)
 from repro.core.space_saving import SpaceSaving
-from repro.cots.framework import CoTSRunConfig, run_cots
-from repro.errors import ConfigurationError
-from repro.mp.config import MPConfig
-from repro.mp.driver import run_mp
 from repro.obs.registry import MetricsRegistry
 from repro.scenarios.audit import (
     AccuracyReport,
@@ -28,26 +29,11 @@ from repro.scenarios.audit import (
     score_sketch_accuracy,
     selfcheck,
 )
-from repro.scenarios.registry import (
-    ScenarioParams,
-    Stream,
-    get_scenario,
-)
+from repro.scenarios.registry import ScenarioParams, get_scenario
 from repro.schedcheck.auditor import exact_counts
 
-#: every backend the scenario matrix exercises
-BACKENDS = (
-    "sequential",
-    "cots",
-    "mp-shm",
-    "mp-one-table",
-    "sketch-cm-vec",
-)
-
-#: backends whose summaries are Count-Min table reads: scored with the
-#: one-sided sketch contract (overestimate bounds), not Space Saving's
-#: recall guarantee — the adversary suite runs against them too
-SKETCH_BACKENDS = ("mp-one-table", "sketch-cm-vec")
+#: elements per ``ingest`` call while a scenario stream is counted
+BATCH_ELEMENTS = 8192
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,74 +57,6 @@ class ScenarioRun:
         return self.elements / self.wall_seconds
 
 
-def run_backend(
-    stream: Stream,
-    backend: str,
-    capacity: int,
-    threads: int = 4,
-    workers: int = 2,
-    chunk_elements: int = 0,
-    timeout: float = 120.0,
-    metrics: Optional[MetricsRegistry] = None,
-) -> Tuple[SpaceSaving, float]:
-    """Count ``stream`` with one backend; return (summary, wall seconds).
-
-    ``mp-*`` backends return the hierarchically merged shard summary —
-    callers must score it with ``merged=True`` (merge truncation may
-    drop a borderline heavy hitter; the error bounds still hold).
-    """
-    if backend == "sequential":
-        started = time.perf_counter()
-        counter = SpaceSaving(capacity=capacity, metrics=metrics)
-        counter.process_many(stream)
-        return counter, time.perf_counter() - started
-    if backend == "cots":
-        started = time.perf_counter()
-        result = run_cots(
-            stream,
-            CoTSRunConfig(
-                threads=threads,
-                capacity=capacity,
-                preaggregate=True,
-                batch=128,
-                metrics=metrics,
-            ),
-        )
-        return result.counter, time.perf_counter() - started
-    if backend in ("mp-shm", "mp-one-table"):
-        chunk = chunk_elements or min(
-            32_768, max(256, len(stream) // (workers * 4) or 256)
-        )
-        config = MPConfig(
-            workers=workers,
-            capacity=capacity,
-            chunk_elements=chunk,
-            mode="one_table" if backend == "mp-one-table" else "sharded",
-            timeout=timeout,
-        )
-        result = run_mp(stream, config, metrics=metrics)
-        return result.counter, result.wall_seconds
-    if backend == "sketch-cm-vec":
-        from repro.backend.adapters import SketchCMVecBackend
-
-        adapter = SketchCMVecBackend(capacity=capacity, metrics=metrics)
-        try:
-            started = time.perf_counter()
-            for index in range(0, len(stream), 8192):
-                adapter.ingest(stream[index:index + 8192])
-            snap = adapter.snapshot()
-            wall = time.perf_counter() - started
-        finally:
-            adapter.close()
-        counter = SpaceSaving.from_entries(
-            capacity, snap.entries, snap.processed
-        )
-        return counter, wall
-    raise ConfigurationError(
-        f"unknown backend {backend!r} (known: {', '.join(BACKENDS)})"
-    )
-
-
 def run_scenario(
     name: str,
     backend: str = "sequential",
@@ -146,31 +64,44 @@ def run_scenario(
     k: int = 10,
     threads: int = 4,
     workers: int = 2,
-    chunk_elements: int = 0,
-    timeout: float = 120.0,
     metrics: Optional[MetricsRegistry] = None,
 ) -> ScenarioRun:
-    """Build, count and score one scenario on one backend."""
+    """Build, count and score one scenario on one registered backend.
+
+    The engine comes from :func:`~repro.backend.create_backend`, eats
+    the stream in :data:`BATCH_ELEMENTS` batches, and its final snapshot
+    is rebuilt into a :class:`SpaceSaving` for scoring.  Sketch engines
+    are scored on the one-sided Count-Min contract; merged engines skip
+    the recall guarantee a truncating merge cannot keep.
+    """
     selfcheck()
     scenario = get_scenario(name)
     params = params or ScenarioParams()
     stream = scenario.build(params)
     truth = exact_counts(stream)
-    counter, wall = run_backend(
-        stream,
+    engine = create_backend(
         backend,
         capacity=params.capacity,
         threads=threads,
         workers=workers,
-        chunk_elements=chunk_elements,
-        timeout=timeout,
         metrics=metrics,
+    )
+    try:
+        started = time.perf_counter()
+        for index in range(0, len(stream), BATCH_ELEMENTS):
+            engine.ingest(stream[index:index + BATCH_ELEMENTS])
+        snap = engine.snapshot()
+        wall = time.perf_counter() - started
+    finally:
+        engine.close()
+    counter = SpaceSaving.from_entries(
+        params.capacity, snap.entries, snap.processed
     )
     if backend in SKETCH_BACKENDS:
         report = score_sketch_accuracy(counter, truth, k=k)
     else:
         report = score_accuracy(
-            counter, truth, k=k, merged=backend.startswith("mp-")
+            counter, truth, k=k, merged=backend in MERGED_BACKENDS
         )
     snapshot: Dict[str, Dict] = {}
     if metrics is not None:

@@ -1,10 +1,9 @@
 """The asyncio serve tier: live ingest + the §3.2 query model on sockets.
 
 One :class:`StreamServer` owns one backend from
-:func:`repro.backend.create_backend` — any of the six registered
-engines — and splits the work across three concerns so the hot ingest
-path never waits on a reader (the Gulisano-style snapshot-read design
-the ISSUE motivates):
+:func:`repro.backend.create_backend` — any registered engine — and
+splits the work across three concerns so the hot ingest path never
+waits on a reader (the Gulisano-style snapshot-read design):
 
 **Ingest plane.**  ``ingest`` frames append to a pending buffer; full
 micro-batches of ``batch_events`` elements move onto a bounded
@@ -499,9 +498,7 @@ class StreamServer:
         Truth counts *accepted* events while the view reflects
         *processed* ones, so a lagging view can only shrink the measured
         over-estimate — the drift alert never false-fires, it can only
-        fire one refresh late.  Count Sketch backends have no additive
-        L1 contract (``error_bound`` is 0), so excess stays unmeasured
-        there.
+        fire one refresh late.
         """
         probe = self._probe
         if not probe or view is None:
@@ -509,12 +506,9 @@ class StreamServer:
         self._m_probe_keys.set(len(probe))
         bound = view.snapshot.error_bound
         self._m_probe_bound.set(bound)
-        index = view.index
         worst = None
         for element, truth in probe.items():
-            entry = index.get(element)
-            estimate = entry.count if entry is not None else bound
-            over = estimate - truth
+            over = self._point(view, element)["count"] - truth
             if worst is None or over > worst:
                 worst = over
         if worst is None:
@@ -821,10 +815,14 @@ class StreamServer:
             return {
                 "count": entry.count, "error": entry.error, "monitored": True,
             }
-        # unmonitored: the summary guarantees truth <= error_bound, so
-        # the bound itself is the tightest safe upper-bounding estimate
+        # unmonitored: Space Saving guarantees truth <= error_bound, so
+        # the bound is the tightest safe upper-bounding estimate.  A
+        # sketch's candidate set is heuristic, so its snapshot answers
+        # with a read of the frozen table instead.
         bound = view.snapshot.error_bound
-        return {"count": bound, "error": bound, "monitored": False}
+        estimator = view.snapshot.estimator
+        count = bound if estimator is None else estimator(element)
+        return {"count": count, "error": bound, "monitored": False}
 
     @staticmethod
     def _entry_wire(entry) -> Dict[str, Any]:

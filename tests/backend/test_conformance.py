@@ -23,10 +23,6 @@ from repro.backend import (
 from repro.errors import BackendError
 from repro.workloads import zipf_stream
 
-#: Count Sketch is unbiased (not one-sided); its estimates may dip
-#: below truth, so the upper-bound assertions skip it.
-ONE_SIDED = tuple(n for n in BACKEND_NAMES if n != "sketch-cs-vec")
-
 
 @pytest.fixture(scope="module")
 def conformance_stream():
@@ -79,23 +75,18 @@ class TestProtocolConformance:
 
     def test_estimates_upper_bound_truth(self, driven,
                                          conformance_truth):
-        name, backend = driven
-        if name not in ONE_SIDED:
-            pytest.skip("count sketch estimates are unbiased, not "
-                        "one-sided")
+        _, backend = driven
         snap = backend.snapshot()
         heavy = [e for e, _ in conformance_truth.most_common(10)]
         for element in heavy:
             estimate = backend.estimate(element)
             truth = conformance_truth[element]
             assert estimate >= truth
-            assert estimate <= truth + max(snap.error_bound, 1) * 2
+            assert estimate - truth <= snap.error_bound
 
     def test_count_minus_error_lower_bounds_truth(self, driven,
                                                   conformance_truth):
-        name, backend = driven
-        if name not in ONE_SIDED:
-            pytest.skip("count sketch carries no additive L1 bound")
+        _, backend = driven
         for entry in backend.snapshot().entries:
             assert (entry.count - entry.error
                     <= conformance_truth[entry.element])
@@ -146,12 +137,11 @@ class TestIncrementalSnapshots:
             estimate = backend.estimate(1)
             assert estimate == backend.estimate(1.0)
             assert estimate == backend.estimate(np.int64(1))
-            if name in ONE_SIDED:
-                assert estimate >= 5
+            assert estimate >= 5
         finally:
             backend.close()
 
-    @pytest.mark.parametrize("name", sorted(set(ONE_SIDED)))
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_point_estimate_tracks_batches(self, name):
         backend = _make(name)
         try:

@@ -24,7 +24,7 @@ def test_run_mp_result_shape(stream):
     assert result.seconds == result.wall_seconds
     assert result.throughput > 0
     assert result.counter.processed == len(stream)
-    assert result.extras["mode"] == "sharded"
+    assert result.extras["capacity"] == 128
 
 
 def test_run_mp_equivalent_to_sequential(stream):

@@ -19,15 +19,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.backend import create_backend
 from repro.core.sketches.count_min import CountMinSketch
 from repro.errors import (
     BackendError,
-    ConfigurationError,
     WorkerCrashError,
     WorkerTimeoutError,
 )
 from repro.mp import MPConfig, OneTablePool
-from repro.mp.driver import run_mp
 from repro.workloads import zipf_stream
 
 
@@ -36,7 +35,6 @@ def _config(workers, **overrides):
         workers=workers,
         capacity=64,
         chunk_elements=512,
-        mode="one_table",
         sketch_epsilon=0.005,
         sketch_delta=0.05,
         sketch_seed=13,
@@ -54,11 +52,6 @@ def _assert_joined(pool):
 @pytest.fixture
 def stream():
     return zipf_stream(20_000, 2_000, 1.3, seed=19)
-
-
-def test_config_rejects_incompatible_mode_combinations():
-    with pytest.raises(ConfigurationError):
-        MPConfig(workers=2, mode="banded")
 
 
 def test_single_worker_table_matches_sequential_sketch(stream):
@@ -183,18 +176,24 @@ def test_band_bounds_cover_dispatched_traffic(stream):
     assert (bounds >= 0).all()
 
 
-def test_driver_one_table_mode(stream):
-    result = run_mp(stream, _config(2))
-    assert result.scheme == "mp-one-table"
-    assert result.elements == len(stream)
-    assert result.counter.processed == len(stream)
-    assert result.extras["mode"] == "one_table"
-    assert result.extras["snapshot_seconds"] >= 0.0
-    table = result.extras["table"]
-    assert table["band_width"] * 2 >= table["width"]
+def test_backend_error_bound_covers_every_entry():
+    """The snapshot's bound is the widest band bound its entries carry.
+
+    Space Saving's min-count rule would report only the smallest
+    candidate's table read, which some entries overestimate by more.
+    """
+    stream = zipf_stream(200_000, 20_000, 1.1, seed=3)
     truth = Counter(stream)
-    for entry in result.counter.entries():
-        assert entry.count >= truth[entry.element]
+    backend = create_backend("mp-one-table", capacity=256, workers=2)
+    try:
+        for start in range(0, len(stream), 8192):
+            backend.ingest(stream[start:start + 8192])
+        snap = backend.snapshot()
+    finally:
+        backend.close()
+    assert snap.entries
+    for entry in snap.entries:
+        assert entry.count - truth[entry.element] <= snap.error_bound
 
 
 def test_worker_raise_propagates_typed_crash():

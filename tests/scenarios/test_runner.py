@@ -1,30 +1,15 @@
-"""The scenario runner: every backend, metrics folding, validation."""
+"""The scenario runner: registered engines, metrics folding, validation."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry
-from repro.scenarios import (
-    BACKENDS,
-    ScenarioParams,
-    run_backend,
-    run_scenario,
-)
+from repro.scenarios import ScenarioParams, run_scenario
 
 _PARAMS = ScenarioParams(length=1_500, alphabet=250, capacity=32, seed=3)
 
 
-def test_backend_tuple_covers_the_matrix():
-    assert BACKENDS == (
-        "sequential",
-        "cots",
-        "mp-shm",
-        "mp-one-table",
-        "sketch-cm-vec",
-    )
-
-
-@pytest.mark.parametrize("backend", ["sequential", "cots"])
+@pytest.mark.parametrize("backend", ["sequential", "cots-sim"])
 def test_in_process_backends_run_every_scenario_kind(backend):
     for name in ("stationary-zipf", "eviction-poison"):
         run = run_scenario(name, backend, _PARAMS, k=8, threads=2)
@@ -52,7 +37,7 @@ def test_sequential_and_cots_agree_on_the_summary():
     from repro.mp.driver import summaries_equivalent
 
     sequential = run_scenario("skew-drift", "sequential", _PARAMS, k=8)
-    cots = run_scenario("skew-drift", "cots", _PARAMS, k=8, threads=4)
+    cots = run_scenario("skew-drift", "cots-sim", _PARAMS, k=8, threads=4)
     assert summaries_equivalent(
         sequential.counter, cots.counter, k=8
     )
@@ -72,9 +57,7 @@ def test_metrics_fold_into_the_scenario_section():
         run.accuracy.recall_at_k
     )
     # the backend's own layer rides along in the same registry
-    assert snapshot["counters"]["core.spacesaving.occurrences"] == (
-        _PARAMS.length
-    )
+    assert snapshot["counters"]["backend.ingest.items"] == _PARAMS.length
 
 
 def test_metrics_disabled_by_default():
@@ -84,7 +67,7 @@ def test_metrics_disabled_by_default():
 
 def test_unknown_backend_rejected():
     with pytest.raises(ConfigurationError, match="unknown backend"):
-        run_backend([1, 2, 3], "gpu", capacity=4)
+        run_scenario("stationary-zipf", "gpu", _PARAMS)
 
 
 def test_unknown_scenario_rejected():

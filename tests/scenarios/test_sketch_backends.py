@@ -11,12 +11,8 @@ it must not translate into a bound violation on the sketch path.
 
 import pytest
 
-from repro.scenarios import (
-    BACKENDS,
-    SKETCH_BACKENDS,
-    ScenarioParams,
-    run_scenario,
-)
+from repro.backend import BACKEND_NAMES, SKETCH_BACKENDS
+from repro.scenarios import ScenarioParams, run_scenario
 from repro.scenarios.audit import score_sketch_accuracy
 from repro.schedcheck.auditor import exact_counts
 
@@ -25,7 +21,7 @@ PARAMS = ScenarioParams(length=6000, alphabet=600, capacity=64, seed=7)
 
 def test_sketch_backends_are_registered():
     for name in SKETCH_BACKENDS:
-        assert name in BACKENDS
+        assert name in BACKEND_NAMES
 
 
 @pytest.mark.parametrize("backend", SKETCH_BACKENDS)

@@ -14,7 +14,9 @@ import collections
 import json
 import time
 
-from repro.backend import create_backend
+import pytest
+
+from repro.backend import BACKEND_NAMES, create_backend
 from repro.obs.registry import MetricsRegistry
 from repro.serve import ServeConfig, StreamServer, is_push
 from repro.workloads import zipf_stream
@@ -138,6 +140,51 @@ def test_end_to_end_accuracy_against_sequential_reference():
             if entry.element == element:
                 return entry.count
         return bound
+
+    _run(main())
+
+
+# ----------------------------------------------------------------------
+# Point answers never undercount, on every registered engine
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_point_answers_never_below_truth(backend):
+    """An unmonitored key's answer must still bound its true count.
+
+    Space Saving bounds every unmonitored key by ``error_bound``; a
+    sketch's candidate set is a heuristic, so a key outside it can
+    exceed the bound and must be answered from the table instead.
+    """
+    stream = zipf_stream(length=20_000, alphabet=5_000, alpha=1.3, seed=1)
+    truth = collections.Counter(stream)
+    keys = [element for element, _ in truth.most_common(400)]
+
+    async def main():
+        # views refresh on flush; the long interval keeps cots-sim
+        # (whose snapshot replays the whole stream) from replaying
+        # mid-ingest
+        config = ServeConfig(
+            port=0, backend=backend, capacity=96, snapshot_interval=5.0,
+        )
+        async with StreamServer(config) as server:
+            client = await _Client.connect(server.port)
+            for start in range(0, len(stream), 1000):
+                reply = await client.request(
+                    {"op": "ingest", "events": stream[start:start + 1000]}
+                )
+                assert reply["ok"], reply
+            flushed = await client.request({"op": "flush"})
+            assert flushed["processed"] == len(stream)
+            reply = await client.request(
+                {"op": "query", "kind": "set", "elements": keys}
+            )
+            assert reply["ok"], reply
+            below = [
+                answer["element"] for answer in reply["results"]
+                if answer["count"] < truth[answer["element"]]
+            ]
+            assert below == []
+            await client.close()
 
     _run(main())
 

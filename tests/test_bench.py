@@ -42,9 +42,7 @@ _MICRO_SCENARIOS = {
     "k": 8,
     "threads": 2,
     "workers": 2,
-    "chunk_elements": 256,
     "seed": 7,
-    "timeout": 60.0,
 }
 
 
@@ -251,7 +249,8 @@ def test_mp_suite_entries_embed_metrics(micro_mp_scale):
 
 
 def test_scenario_suite_report_shape(micro_scenario_scale):
-    from repro.scenarios import BACKENDS, SCENARIOS
+    from repro.backend import BACKEND_NAMES
+    from repro.scenarios import SCENARIOS
 
     report = bench.run_suite("tiny", suite="scenarios")
     assert report["suite"] == "scenarios"
@@ -259,7 +258,7 @@ def test_scenario_suite_report_shape(micro_scenario_scale):
     expected = [
         f"{name}-{backend}"
         for name in SCENARIOS
-        for backend in BACKENDS
+        for backend in BACKEND_NAMES
     ]
     assert [e["name"] for e in report["results"]] == expected
     assert len({e["scenario"] for e in report["results"]}) >= 5

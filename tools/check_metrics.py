@@ -133,13 +133,14 @@ def smoke_run() -> "tuple[List[Emission], dict]":
     snapshots.append(("sketch-backend", registry.snapshot()))
 
     registry = MetricsRegistry()
-    run_mp(
-        stream,
-        MPConfig(workers=2, capacity=48, chunk_elements=512,
-                 mode="one_table", sketch_epsilon=0.01,
-                 sketch_delta=0.05, sketch_seed=13),
-        metrics=registry,
-    )
+    backend = create_backend("mp-one-table", capacity=48, workers=2,
+                             epsilon=0.01, delta=0.05, seed=13,
+                             metrics=registry)
+    try:
+        backend.ingest(stream)
+        backend.snapshot()
+    finally:
+        backend.close()
     snapshots.append(("mp-one-table", registry.snapshot()))
 
     from repro.scenarios import ScenarioParams, fuzz, run_scenario
