@@ -396,10 +396,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-pending-batches", type=int, default=16,
                        help="backpressure budget: pending micro-batches "
                        "before ingest frames are refused (default: 16)")
-    serve.add_argument("--snapshot-interval", type=float, default=0.2,
-                       help="query-view refresh period in seconds; the "
-                       "staleness bound is batch-interval + this "
-                       "(default: 0.2)")
     serve.add_argument("--metrics-port", type=int, default=None,
                        help="also expose Prometheus text metrics on this "
                        "HTTP port (0 picks an ephemeral port; default: "
@@ -895,7 +891,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             batch_events=args.batch_events,
             batch_interval=args.batch_interval,
             max_pending_batches=args.max_pending_batches,
-            snapshot_interval=args.snapshot_interval,
             metrics_port=args.metrics_port,
             watchdog_interval=args.watchdog_interval,
             probe_keys=args.probe_keys,

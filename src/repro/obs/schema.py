@@ -199,7 +199,9 @@ METRIC_SPECS: Dict[str, MetricSpec] = {
               "micro-batch sizes handed to the flusher (full batches at "
               "batch_events; partial tails from the ticker and flush)"),
         _spec("serve.batch.flush_seconds", "histogram", "seconds", "serve",
-              "wall-clock latency of one backend.ingest micro-batch"),
+              "backend.ingest time of one micro-batch, timed on the "
+              "backend thread (executor wait and the snapshot that "
+              "follows are excluded)"),
         _spec("serve.batch.flush_failures", "counter", "batches", "serve",
               "micro-batches dropped because backend.ingest raised "
               "(the flusher survives; the batch's events are lost "
@@ -209,13 +211,23 @@ METRIC_SPECS: Dict[str, MetricSpec] = {
               "pending micro-batches awaiting the flusher (bounded by "
               "max_pending_batches — the backpressure budget)"),
         _spec("serve.snapshot.refreshes", "counter", "refreshes", "serve",
-              "query-view rebuilds (skipped when no new events arrived)"),
+              "query-view rebuilds: after flushed batches (skipped "
+              "while snapshots would take over a tenth of the backend "
+              "thread), on ticker catch-up, start and flush"),
         _spec("serve.snapshot.seconds", "histogram", "seconds", "serve",
-              "wall-clock latency of one query-view rebuild"),
+              "backend.snapshot + index build of one query view, timed "
+              "on the backend thread"),
         _spec("serve.snapshot.staleness_seconds", "histogram", "seconds",
               "serve",
-              "view age reported with each query answer (bounded by "
-              "batch_interval + snapshot_interval)"),
+              "view age reported with each query answer (an idle "
+              "server's complete view ages too; the freshness histogram "
+              "measures the promise)"),
+        _spec("serve.freshness.ack_to_visible_seconds", "histogram",
+              "seconds", "serve",
+              "one ingest frame from its ack to the first installed view "
+              "that covers it (1-2-5 buckets, 1 ms to 10 s); bounded by "
+              "2 x batch_interval while the flusher keeps up, plus queue "
+              "depth x flush time under overload"),
         _spec("serve.query.requests", "counter", "queries", "serve",
               "one-shot queries answered (point/set/topk and the "
               "first answer of interval registrations)"),
@@ -232,9 +244,9 @@ METRIC_SPECS: Dict[str, MetricSpec] = {
               "backpressure, which is flow control)",
               worse="up", tolerance=0.0),
         _spec("serve.snapshot.staleness", "gauge", "seconds", "serve",
-              "current query-view age, sampled by the live-telemetry "
-              "watchdog each tick (the histogram sibling only observes "
-              "on query answers)"),
+              "how long the oldest acked ingest frame has waited to "
+              "become visible (0 when every acked frame is), sampled by "
+              "the live-telemetry watchdog each tick"),
         _spec("serve.accuracy.tracked_keys", "gauge", "keys", "serve",
               "keys tracked by the shadow-truth accuracy probe (the "
               "first probe_keys distinct keys seen, so their true "
@@ -328,8 +340,10 @@ ALERT_RULES: tuple = (
         name="serve-staleness",
         metric="serve.snapshot.staleness",
         kind="gauge", threshold=5.0, window=0.0, severity="critical",
-        help="the query view is older than the deployment's staleness "
-             "bound (serve overrides this threshold from its config)",
+        help="an acked ingest frame has stayed invisible longer than "
+             "the deployment's staleness bound (serve sets this threshold "
+             "to 2 x batch_interval; under overload serve.queue.depth "
+             "shows the queue-drain term)",
     ),
     AlertRule(
         name="mp-ring-stalls",

@@ -58,7 +58,6 @@ SERVE_SCALES: Dict[str, Dict[str, Any]] = {
         "batch_events": 4_096,
         "batch_interval": 0.02,
         "max_pending_batches": 64,
-        "snapshot_interval": 0.1,
         "point_checks": 200,
         "top_k": 10,
         "seed": 7,
@@ -74,7 +73,6 @@ SERVE_SCALES: Dict[str, Dict[str, Any]] = {
         "batch_events": 8_192,
         "batch_interval": 0.02,
         "max_pending_batches": 64,
-        "snapshot_interval": 0.1,
         "point_checks": 400,
         "top_k": 20,
         "seed": 7,
@@ -233,7 +231,6 @@ async def _run_bench(
         batch_events=params["batch_events"],
         batch_interval=params["batch_interval"],
         max_pending_batches=params["max_pending_batches"],
-        snapshot_interval=params["snapshot_interval"],
         seed=params["seed"],
         metrics_port=0,
     )

@@ -93,6 +93,10 @@ def _is_element(value: Any) -> bool:
     return isinstance(value, (str, int)) and not isinstance(value, bool)
 
 
+#: the exact types of JSON-decoded stream elements (bool excluded)
+_ELEMENT_TYPES = frozenset((str, int))
+
+
 def _bad(message: str) -> WireProtocolError:
     return WireProtocolError("bad-request", message)
 
@@ -284,9 +288,12 @@ def decode_request(raw: Union[str, bytes]) -> Request:
             events = [obj["event"]]
         if not isinstance(events, list) or not events:
             raise _bad("ingest needs 'events' (a non-empty list) or 'event'")
-        for event in events:
-            if not _is_element(event):
-                raise _bad(f"event {event!r} is not a string or integer")
+        # exact for json.loads output: bool is its own type, and no
+        # str/int subclasses occur; the per-event scan runs only to name
+        # the first bad event
+        if not set(map(type, events)) <= _ELEMENT_TYPES:
+            bad = next(event for event in events if not _is_element(event))
+            raise _bad(f"event {bad!r} is not a string or integer")
         return IngestRequest(events=tuple(events), id=request_id)
 
     if op == "query":

@@ -15,13 +15,24 @@ partial batches every ``batch_interval`` seconds so a trickle of
 events still lands.
 
 **Query plane.**  Queries are answered from an immutable
-:class:`~repro.backend.base.Snapshot` refreshed every
-``snapshot_interval`` seconds — never from live backend state — so a
-million concurrent readers cost the ingest path nothing.  Every answer
-reports its ``staleness`` (seconds since the view was built); the
-worst case an acknowledged event can remain invisible is
-``batch_interval + snapshot_interval`` plus one backend ingest, which
-``stats`` reports as ``staleness_bound``.
+:class:`~repro.backend.base.Snapshot` — never from live backend state —
+so a million concurrent readers cost the ingest path nothing.  The
+flusher builds that view in the same executor job as the batch it
+reflects, right after ``backend.ingest``, and the loop installs it.  A
+snapshot may take at most about a tenth of the backend thread: the
+flusher skips it while the last one ended less than
+:data:`SNAPSHOT_GAP` of its own durations ago, and once it is due the
+ticker catches a skipped view up with an empty batch.  Every answer
+reports its ``staleness`` (seconds since the view was built).  While
+the flusher keeps up, an acknowledged event becomes visible within
+``staleness_bound`` = ``2 × batch_interval``, which ``stats``
+reports: one ticker period in the pending buffer plus one for a
+deferred snapshot (that needs a snapshot under a ninth of
+``batch_interval``).  Under overload the queue-drain term — queue
+depth × flush time — comes on top; ``serve.queue.depth`` shows it.
+``serve.freshness.ack_to_visible_seconds`` measures the promise
+directly: each ingest frame from its ack to the first view that
+covers it.
 
 **Backpressure.**  When admitting a frame would need more micro-batch
 slots than the queue has free, the server answers an error with code
@@ -38,19 +49,21 @@ guide: docs/serve.md.
 from __future__ import annotations
 
 import asyncio
+import collections
 import concurrent.futures
 import dataclasses
 import itertools
 import json
 import sys
 import time
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.backend.base import Snapshot
 from repro.backend.registry import BACKEND_NAMES, create_backend
 from repro.errors import ConfigurationError
 from repro.obs.live import RollingWindow, Watchdog, render_prometheus
 from repro.obs.registry import (
+    FRESHNESS_BUCKETS,
     TIME_BUCKETS,
     MetricsRegistry,
     coerce,
@@ -77,6 +90,11 @@ from repro.serve.protocol import (
 #: serve-tier fault-injection hooks (testing/drills only)
 SERVE_FAULTS = ("flush-failure",)
 
+#: after a batch, skip the snapshot while the last one ended less than
+#: this many of its own durations ago: snapshots (mp-shm's merge,
+#: cots-sim's replay) then take at most a tenth of the backend thread
+SNAPSHOT_GAP = 9.0
+
 
 @dataclasses.dataclass(frozen=True)
 class ServeConfig:
@@ -93,7 +111,6 @@ class ServeConfig:
     batch_events: int = 2048            #: micro-batch size (elements)
     batch_interval: float = 0.05        #: partial-batch flush period (s)
     max_pending_batches: int = 16       #: backpressure budget (batches)
-    snapshot_interval: float = 0.2      #: query-view refresh period (s)
     max_frame_bytes: int = 65536        #: one NDJSON line's byte budget
     max_buffer_bytes: int = 1 << 20     #: slow-subscriber disconnect line
     metrics_port: Optional[int] = None  #: Prometheus text endpoint (None = off)
@@ -116,8 +133,7 @@ class ServeConfig:
                 raise ConfigurationError(
                     f"{field} must be >= {minimum}, got {getattr(self, field)}"
                 )
-        for field in ("batch_interval", "snapshot_interval",
-                      "watchdog_interval"):
+        for field in ("batch_interval", "watchdog_interval"):
             if not getattr(self, field) > 0:
                 raise ConfigurationError(
                     f"{field} must be > 0, got {getattr(self, field)}"
@@ -137,8 +153,11 @@ class ServeConfig:
 
     @property
     def staleness_bound(self) -> float:
-        """Worst-case seconds an acked event stays invisible to queries."""
-        return self.batch_interval + self.snapshot_interval
+        """Seconds an acked event can stay invisible while the flusher
+        keeps up: one ticker period pending plus one deferred snapshot.
+        Under overload the queue-drain term (``serve.queue.depth`` ×
+        flush time) comes on top."""
+        return 2 * self.batch_interval
 
 
 @dataclasses.dataclass(frozen=True)
@@ -242,6 +261,9 @@ class StreamServer:
         self._m_staleness = m.histogram(
             "serve.snapshot.staleness_seconds", TIME_BUCKETS
         )
+        self._m_freshness = m.histogram(
+            "serve.freshness.ack_to_visible_seconds", FRESHNESS_BUCKETS
+        )
         self._m_queries = m.counter("serve.query.requests")
         self._m_query_seconds = m.histogram(
             "serve.query.seconds", TIME_BUCKETS
@@ -256,15 +278,22 @@ class StreamServer:
         self._m_probe_excess = m.gauge("serve.accuracy.bound_excess")
         self._m_alerts_firing = m.gauge("serve.alerts.firing")
         self._m_alert_transitions = m.counter("serve.alerts.transitions")
+        #: one (position, ack time) per acked ingest frame that no view
+        #: shows yet, oldest first; position is the frame's cumulative
+        #: accepted count less the events failed flushes dropped, so a
+        #: view covers the frame once its ``processed`` reaches it
+        self._stamps: Deque[Tuple[int, float]] = collections.deque()
+        self._lost = 0                  #: events dropped by failed flushes
+        #: perf_counter time the next post-batch snapshot is due
+        #: (written on the backend thread)
+        self._snapshot_due = 0.0
         # -- live telemetry plane ---------------------------------------
         self._live = RollingWindow()
-        # the deployment's real staleness bound drives the static rule:
-        # fire when acked events stay invisible well past the promise
-        # (the slack absorbs one watchdog tick + one slow backend ingest)
-        self._watch = Watchdog(thresholds={
-            "serve-staleness":
-                3.0 * config.staleness_bound + config.watchdog_interval,
-        })
+        # the deployment's staleness bound drives the static rule: fire
+        # while an acked frame has stayed invisible past the promise
+        self._watch = Watchdog(
+            thresholds={"serve-staleness": config.staleness_bound}
+        )
         self._beacons: Dict[str, Dict] = {}
         self._metrics_server: Optional[asyncio.AbstractServer] = None
         self._flushes = 0
@@ -310,7 +339,6 @@ class StreamServer:
         self._tasks = [
             asyncio.create_task(self._flusher(), name="serve-flusher"),
             asyncio.create_task(self._ticker(), name="serve-ticker"),
-            asyncio.create_task(self._refresher(), name="serve-refresher"),
             asyncio.create_task(self._watchdog_loop(), name="serve-watchdog"),
         ]
 
@@ -373,28 +401,33 @@ class StreamServer:
     # Service tasks
     # ------------------------------------------------------------------
     async def _flusher(self) -> None:
-        """Drain micro-batches into the backend (the only ingest path)."""
+        """Drain micro-batches into the backend (the only ingest path) and
+        install the query view each one leaves behind."""
         loop = asyncio.get_running_loop()
-        backend = self._backend
         fault = self.config.fault
         while True:
             batch = await self._queue.get()
             try:
-                self._flushes += 1
-                if fault == "flush-failure" and self._flushes % 2 == 0:
-                    # alert drill: every other micro-batch fails exactly
-                    # like a raising backend.ingest would (the odd ones
-                    # land, so the server keeps making progress)
-                    raise RuntimeError("injected flush-failure fault")
-                with self.tracer.span(
-                    "serve", "flush", "serve", {"events": len(batch)}
-                ):
-                    start = time.perf_counter()
-                    await loop.run_in_executor(
-                        self._executor, backend.ingest, batch
+                if batch:
+                    self._flushes += 1
+                    if fault == "flush-failure" and self._flushes % 2 == 0:
+                        # alert drill: every other micro-batch fails
+                        # exactly like a raising backend.ingest would (the
+                        # odd ones land, so the server keeps making
+                        # progress)
+                        raise RuntimeError("injected flush-failure fault")
+                start, ingested, built = await loop.run_in_executor(
+                    self._executor, self._ingest_then_snapshot, batch
+                )
+                if batch:
+                    self._m_flush_seconds.observe(ingested - start)
+                    self.tracer.add_span(
+                        "serve", "flush", "serve", start, ingested,
+                        {"events": len(batch)},
                     )
-                    self._m_flush_seconds.observe(time.perf_counter() - start)
-                self._processed += len(batch)
+                    self._processed += len(batch)
+                if built is not None:
+                    self._install(*built)
             except asyncio.CancelledError:
                 raise
             except Exception as exc:    # noqa: BLE001 - the flusher must live
@@ -403,6 +436,7 @@ class StreamServer:
                 # join().  The batch's events are lost from the counts
                 # (stats shows processed < accepted_events), metered here.
                 self._m_flush_failures.inc()
+                self._release_stamps(len(batch))
                 print(
                     f"serve: backend.ingest failed, dropping batch of "
                     f"{len(batch)} events: {type(exc).__name__}: {exc}",
@@ -412,35 +446,90 @@ class StreamServer:
                 self._queue.task_done()
                 self._m_queue_depth.set(self._queue.qsize())
 
-    async def _ticker(self) -> None:
-        """Move partial batches onto the queue every ``batch_interval``."""
-        while True:
-            await asyncio.sleep(self.config.batch_interval)
-            self._flush_pending(partial=True)
+    def _ingest_then_snapshot(self, batch: List[Any]):
+        """Backend thread: ingest ``batch``, then snapshot if one is due.
 
-    async def _refresher(self) -> None:
-        """Rebuild the query view every ``snapshot_interval``."""
-        while True:
-            await asyncio.sleep(self.config.snapshot_interval)
-            view = self._view
-            if view is not None and self._processed == view.snapshot.processed:
-                continue            # nothing new: keep the current view
-            await self._refresh_view()
-            self._fire_interval_subscriptions()
+        Returns ``(ingest start, ingest end, built)`` where ``built`` is
+        :meth:`_snapshot`'s result, or None when the snapshot was not
+        due yet or failed.  An empty batch is the ticker's catch-up; the
+        ticker only sends it once due, so a second one queued behind it
+        finds the next snapshot not due and costs nothing.
+        """
+        start = time.perf_counter()
+        if batch:
+            self._backend.ingest(batch)
+        ingested = time.perf_counter()
+        if ingested < self._snapshot_due:
+            return start, ingested, None
+        try:
+            return start, ingested, self._snapshot()
+        except Exception as exc:    # noqa: BLE001 - the batch did land
+            print(
+                f"serve: backend.snapshot failed, keeping the old view: "
+                f"{type(exc).__name__}: {exc}",
+                file=sys.stderr, flush=True,
+            )
+            return start, ingested, None
 
-    async def _refresh_view(self) -> None:
-        loop = asyncio.get_running_loop()
-        backend = self._backend
-        with self.tracer.span("serve", "snapshot.refresh", "serve"):
-            start = time.perf_counter()
-            snapshot = await loop.run_in_executor(self._executor, backend.snapshot)
-            self._m_snap_seconds.observe(time.perf_counter() - start)
-        self._view = _View(
+    def _snapshot(self) -> Tuple[_View, float, float]:
+        """Backend thread: build one query view, timed, and push the next
+        post-batch snapshot ``SNAPSHOT_GAP`` of its durations out."""
+        start = time.perf_counter()
+        snapshot = self._backend.snapshot()
+        view = _View(
             snapshot=snapshot,
             index={entry.element: entry for entry in snapshot.entries},
             refreshed_at=time.monotonic(),
         )
+        end = time.perf_counter()
+        self._snapshot_due = end + SNAPSHOT_GAP * (end - start)
+        return view, start, end
+
+    async def _refresh_view(self) -> None:
+        """Snapshot now and install it (the read barrier of start/flush)."""
+        loop = asyncio.get_running_loop()
+        built = await loop.run_in_executor(self._executor, self._snapshot)
+        self._install(*built)
+
+    def _install(self, view: _View, start: float, end: float) -> None:
+        """Make ``view`` the query view: meter it, observe the freshness
+        of every frame it makes visible, fire interval subscriptions."""
+        self._m_snap_seconds.observe(end - start)
+        self.tracer.add_span("serve", "snapshot.refresh", "serve", start, end)
+        self._view = view
         self._m_refreshes.inc()
+        now = time.monotonic()
+        stamps = self._stamps
+        processed = view.snapshot.processed
+        while stamps and stamps[0][0] <= processed:
+            self._m_freshness.observe(now - stamps.popleft()[1])
+        self._fire_interval_subscriptions()
+
+    def _release_stamps(self, dropped: int) -> None:
+        """A failed flush dropped the next ``dropped`` events: forget the
+        frames that ended in them and move later frames back, since
+        ``processed`` will never count those events."""
+        first = self._processed
+        self._lost += dropped
+        self._stamps = collections.deque(
+            (position if position <= first else position - dropped, acked)
+            for position, acked in self._stamps
+            if not first < position <= first + dropped
+        )
+
+    async def _ticker(self) -> None:
+        """Every ``batch_interval``: queue the partial batch, and once a
+        snapshot is due, catch a view the flusher skipped up with an
+        empty batch."""
+        while True:
+            await asyncio.sleep(self.config.batch_interval)
+            self._flush_pending(partial=True)
+            if (
+                self._queue.empty()
+                and self._view.snapshot.processed != self._processed
+                and time.perf_counter() >= self._snapshot_due
+            ):
+                self._queue.put_nowait([])
 
     # ------------------------------------------------------------------
     # Live telemetry plane
@@ -462,18 +551,13 @@ class StreamServer:
                 )
 
     async def _watchdog_tick(self, loop: asyncio.AbstractEventLoop) -> None:
-        view = self._view
-        # staleness gauge: the view's age *while it is behind* — an idle
+        # staleness gauge: how long the oldest acked frame has waited to
+        # become visible (0 when every acked frame is) — an idle
         # server's old-but-complete view is not stale in the SLO sense
-        behind = (
-            view is None
-            or self._processed != view.snapshot.processed
-            or bool(self._pending)
-            or self._queue.qsize() > 0
-        )
-        lag = view.staleness() if (behind and view is not None) else 0.0
+        stamps = self._stamps
+        lag = time.monotonic() - stamps[0][1] if stamps else 0.0
         self._m_staleness_now.set(round(lag, 6))
-        self._update_probe_gauges(view)
+        self._update_probe_gauges(self._view)
         telemetry = getattr(self._backend, "telemetry", None)
         if telemetry is not None:
             try:
@@ -763,6 +847,7 @@ class StreamServer:
                 elif len(probe) < room:
                     probe[event] = 1
         self._accepted += len(request.events)
+        self._stamps.append((self._accepted - self._lost, time.monotonic()))
         self._m_events.inc(len(request.events))
         self._m_frames.inc()
         self._flush_pending(partial=False)
@@ -963,7 +1048,8 @@ class StreamServer:
                 return
 
     def _fire_interval_subscriptions(self) -> None:
-        """§3.2 Query 3 on refresh: push when ``every`` events elapsed."""
+        """§3.2 Query 3 on each new view: push when ``every`` events
+        elapsed."""
         processed = self._view.snapshot.processed
         for sub in list(self._subs.values()):
             if sub.every is None:
@@ -985,7 +1071,6 @@ class StreamServer:
             self._m_batch_fill.observe(len(batch))
         await self._queue.join()
         await self._refresh_view()
-        self._fire_interval_subscriptions()
         return self._ok(
             request.id,
             processed=self._view.snapshot.processed,

@@ -61,7 +61,7 @@ def _run(coro):
 def _config(**overrides):
     base = dict(
         port=0, backend="sequential", capacity=64,
-        batch_events=8, batch_interval=0.01, snapshot_interval=0.02,
+        batch_events=8, batch_interval=0.01,
         watchdog_interval=0.05,
     )
     base.update(overrides)
@@ -252,6 +252,39 @@ def test_watchdog_fires_on_injected_flush_failures():
             )
 
             await client.close()
+
+    _run(main())
+
+
+def test_failed_flush_releases_its_freshness_stamps():
+    """A frame that ended in a dropped batch is never observed visible,
+    the frames after it still are, and nothing is left waiting — so the
+    staleness gauge drops back to zero instead of growing forever."""
+    async def main():
+        metrics = MetricsRegistry()
+        async with StreamServer(
+            _config(batch_events=4, fault="flush-failure"), metrics=metrics,
+        ) as server:
+            client = await _Client.connect(server.port)
+            # one full batch per frame, batches 2 and 4 dropped; the
+            # frames go out in one write, so all four are acked before
+            # the first failure and later stamps must move back
+            frame = json.dumps({"op": "ingest", "events": ["k"] * 4})
+            client.writer.write((frame + "\n").encode() * 4)
+            await client.writer.drain()
+            for _ in range(4):
+                reply = await client.read_frame()
+                assert reply["ok"], reply
+            flushed = await client.request({"op": "flush"})
+            assert flushed["processed"] == 8
+            await asyncio.sleep(0.15)       # a few watchdog ticks
+            reply = await client.request({"op": "metrics", "raw": True})
+            await client.close()
+        snapshot = reply["snapshot"]
+        assert snapshot["gauges"]["serve.snapshot.staleness"] == 0
+        freshness = snapshot["histograms"][
+            "serve.freshness.ack_to_visible_seconds"]
+        assert freshness["count"] == 2      # frames 1 and 3
 
     _run(main())
 

@@ -158,6 +158,22 @@ def test_bad_request(raw):
     assert _code_of(raw) == "bad-request"
 
 
+@pytest.mark.parametrize("bad", [True, False, None, 1.5, [], {}])
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_ingest_names_the_first_bad_event(bad, position):
+    """The type-set check refuses every non-element JSON value at the
+    first, a middle and the last position, with the per-event message."""
+    events = ["a", 1, "b", 2, "c"]
+    events[position] = bad
+    frame = json.dumps({"op": "ingest", "events": events})
+    with pytest.raises(WireProtocolError) as excinfo:
+        decode_request(frame)
+    assert excinfo.value.code == "bad-request"
+    assert str(excinfo.value) == (
+        f"event {bad!r} is not a string or integer"
+    )
+
+
 def test_unknown_error_code_rejected_at_construction():
     with pytest.raises(ValueError):
         WireProtocolError("made-up-code", "boom")

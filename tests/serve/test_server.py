@@ -82,7 +82,7 @@ def test_end_to_end_accuracy_against_sequential_reference():
     async def main():
         config = ServeConfig(
             port=0, backend="sequential", capacity=capacity,
-            batch_events=256, batch_interval=0.01, snapshot_interval=0.05,
+            batch_events=256, batch_interval=0.01,
         )
         async with StreamServer(config) as server:
             client = await _Client.connect(server.port)
@@ -160,12 +160,7 @@ def test_point_answers_never_below_truth(backend):
     keys = [element for element, _ in truth.most_common(400)]
 
     async def main():
-        # views refresh on flush; the long interval keeps cots-sim
-        # (whose snapshot replays the whole stream) from replaying
-        # mid-ingest
-        config = ServeConfig(
-            port=0, backend=backend, capacity=96, snapshot_interval=5.0,
-        )
+        config = ServeConfig(port=0, backend=backend, capacity=96)
         async with StreamServer(config) as server:
             client = await _Client.connect(server.port)
             for start in range(0, len(stream), 1000):
@@ -190,6 +185,82 @@ def test_point_answers_never_below_truth(backend):
 
 
 # ----------------------------------------------------------------------
+# Freshness: the flusher installs the view right after each batch
+# ----------------------------------------------------------------------
+def test_full_batch_is_visible_once_processed_without_flush():
+    """The view is built in the backend job that counts the batch, so
+    a query right after ``processed`` moves already sees it — no timer
+    and no ``flush`` barrier in between."""
+    async def main():
+        metrics = MetricsRegistry()
+        config = ServeConfig(
+            port=0, backend="sequential", capacity=32, batch_events=8,
+        )
+        async with StreamServer(config, metrics=metrics) as server:
+            client = await _Client.connect(server.port)
+            # let the start-up snapshot's gap (microseconds) run out, so
+            # the batch's own snapshot is due
+            await asyncio.sleep(0.01)
+            reply = await client.request(
+                {"op": "ingest", "events": list(range(8))}
+            )
+            assert reply["ok"], reply
+            while True:
+                stats = (await client.request({"op": "stats"}))["stats"]
+                if stats["processed"] == 8:
+                    break
+                await asyncio.sleep(0.001)
+            reply = await client.request(
+                {"op": "query", "kind": "topk", "k": 3}
+            )
+            assert reply["processed"] == 8
+            await client.close()
+        freshness = metrics.snapshot()["histograms"][
+            "serve.freshness.ack_to_visible_seconds"]
+        assert freshness["count"] == 1
+
+    _run(main())
+
+
+def test_snapshots_take_a_bounded_share_of_wall_time():
+    """cots-sim's snapshot replays the whole stream, so a rebuild after
+    every small batch would soon eat the backend thread; the snapshot
+    gap keeps rebuilds near a tenth of it.  (The gap is sized from the
+    last snapshot, so a stream that grows fast against the replay cost
+    pushes the share above a tenth; 250 events/s keeps that small.)"""
+    stream = zipf_stream(length=800, alphabet=300, alpha=1.2, seed=5)
+
+    async def main():
+        metrics = MetricsRegistry()
+        config = ServeConfig(
+            port=0, backend="cots-sim", capacity=48, batch_events=10,
+            batch_interval=0.01,
+        )
+        async with StreamServer(config, metrics=metrics) as server:
+            client = await _Client.connect(server.port)
+            start = time.perf_counter()
+            for first in range(0, len(stream), 10):
+                reply = await client.request(
+                    {"op": "ingest", "events": stream[first:first + 10]}
+                )
+                assert reply["ok"], reply
+                await asyncio.sleep(0.04)
+            while True:
+                stats = (await client.request({"op": "stats"}))["stats"]
+                if stats["processed"] == len(stream):
+                    break
+                await asyncio.sleep(0.01)
+            elapsed = time.perf_counter() - start
+            snapshots = metrics.snapshot()["histograms"][
+                "serve.snapshot.seconds"]
+            assert snapshots["count"] > 5
+            assert snapshots["sum"] <= 0.2 * elapsed, (snapshots, elapsed)
+            await client.close()
+
+    _run(main())
+
+
+# ----------------------------------------------------------------------
 # Backpressure: the structural budget refuses what it cannot absorb
 # ----------------------------------------------------------------------
 def test_backpressure_flood_is_refused_not_dropped():
@@ -198,7 +269,7 @@ def test_backpressure_flood_is_refused_not_dropped():
         config = ServeConfig(
             port=0, backend="sequential", capacity=32,
             batch_events=4, max_pending_batches=2,
-            batch_interval=0.01, snapshot_interval=0.05,
+            batch_interval=0.01,
         )
         async with StreamServer(config, metrics=metrics) as server:
             client = await _Client.connect(server.port)
@@ -264,7 +335,7 @@ def test_subscribe_pushes_and_unsubscribe():
     async def main():
         config = ServeConfig(
             port=0, backend="sequential", capacity=32,
-            batch_events=8, batch_interval=0.01, snapshot_interval=0.02,
+            batch_events=8, batch_interval=0.01,
         )
         async with StreamServer(config) as server:
             client = await _Client.connect(server.port)
@@ -310,7 +381,7 @@ def test_unsubscribe_requires_owning_connection():
     async def main():
         config = ServeConfig(
             port=0, backend="sequential", capacity=32,
-            batch_events=8, batch_interval=0.01, snapshot_interval=0.02,
+            batch_events=8, batch_interval=0.01,
         )
         async with StreamServer(config) as server:
             owner = await _Client.connect(server.port)
@@ -353,7 +424,7 @@ def test_interval_query_pushes_after_every_events():
     async def main():
         config = ServeConfig(
             port=0, backend="sequential", capacity=32,
-            batch_events=8, batch_interval=0.01, snapshot_interval=0.02,
+            batch_events=8, batch_interval=0.01,
         )
         async with StreamServer(config) as server:
             client = await _Client.connect(server.port)
@@ -397,7 +468,7 @@ def test_concurrent_flush_and_ingest_count_exactly_once():
         config = ServeConfig(
             port=0, backend="sequential", capacity=64,
             batch_events=4, max_pending_batches=1,
-            batch_interval=0.005, snapshot_interval=0.02,
+            batch_interval=0.005,
         )
         async with StreamServer(config) as server:
             # slow the backend so the one-slot queue stays full and
@@ -447,7 +518,7 @@ def test_flusher_survives_backend_ingest_failure():
         metrics = MetricsRegistry()
         config = ServeConfig(
             port=0, backend="sequential", capacity=32,
-            batch_events=4, batch_interval=0.01, snapshot_interval=0.02,
+            batch_events=4, batch_interval=0.01,
         )
         async with StreamServer(config, metrics=metrics) as server:
             real_ingest = server._backend.ingest
@@ -494,7 +565,7 @@ def test_frame_too_large_closes_connection():
         config = ServeConfig(
             port=0, backend="sequential", capacity=32,
             max_frame_bytes=1024,
-            batch_events=8, batch_interval=0.01, snapshot_interval=0.05,
+            batch_events=8, batch_interval=0.01,
         )
         async with StreamServer(config) as server:
             client = await _Client.connect(server.port)

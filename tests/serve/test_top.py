@@ -108,7 +108,7 @@ def test_run_top_once_json_against_live_server():
     async def main():
         config = ServeConfig(
             port=0, backend="sequential", capacity=32,
-            batch_events=8, batch_interval=0.01, snapshot_interval=0.02,
+            batch_events=8, batch_interval=0.01,
             watchdog_interval=0.05,
         )
         async with StreamServer(config, metrics=MetricsRegistry()) as server:

@@ -68,6 +68,19 @@ def test_smoke_run_names_all_resolve():
     # the serve snapshot feeds the Prometheus exposition audit
     assert serve_snapshot["counters"]
     assert check_metrics.check_prometheus(serve_snapshot) == []
+    assert check_metrics.check_freshness(serve_snapshot) == []
+
+
+def test_freshness_audit_flags_unobserved_frames():
+    def snapshot(frames, observed):
+        return {"counters": {"serve.ingest.frames": frames},
+                "histograms": {check_metrics.FRESHNESS: {"count": observed}}}
+
+    assert check_metrics.check_freshness(snapshot(3, 3)) == []
+    [failure] = check_metrics.check_freshness(snapshot(3, 2))
+    assert "observed 2 frame(s)" in failure and "acked 3" in failure
+    # a smoke that acked nothing proves nothing
+    assert check_metrics.check_freshness(snapshot(0, 0))
 
 
 def test_alert_rules_resolve_against_catalogue():

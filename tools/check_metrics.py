@@ -25,6 +25,10 @@ This tool catches that from both ends:
    output is held against the text-format grammar: HELP/TYPE per
    family, ``_total`` on counters, cumulative monotone ``_bucket``
    series ending in ``+Inf`` with matching ``_count``.
+5. **Freshness audit** — the serve smoke observed
+   ``serve.freshness.ack_to_visible_seconds`` once per acked ingest
+   frame: its session ends behind a ``flush`` barrier and no batch
+   fails, so every frame became visible.
 
 Usage::
 
@@ -187,8 +191,7 @@ def _serve_smoke() -> dict:
     async def session() -> None:
         config = ServeConfig(
             backend="sequential", capacity=32, batch_events=4,
-            batch_interval=0.01, snapshot_interval=0.01,
-            max_pending_batches=1,
+            batch_interval=0.01, max_pending_batches=1,
         )
         async with StreamServer(config, metrics=registry) as server:
             reader, writer = await asyncio.open_connection(
@@ -325,6 +328,22 @@ def check_prometheus(snapshot: dict, text: str | None = None) -> List[str]:
     return failures
 
 
+FRESHNESS = "serve.freshness.ack_to_visible_seconds"
+
+
+def check_freshness(snapshot: dict) -> List[str]:
+    """Failure messages unless every acked ingest frame of the serve
+    smoke was observed becoming visible."""
+    frames = snapshot["counters"].get("serve.ingest.frames", 0)
+    observed = snapshot["histograms"].get(FRESHNESS, {}).get("count", 0)
+    if frames == 0 or observed != frames:
+        return [
+            f"freshness: {FRESHNESS} observed {observed} frame(s), "
+            f"but the serve smoke acked {frames}"
+        ]
+    return []
+
+
 def check(emissions: List[Emission]) -> List[str]:
     """Failure messages for emissions the catalogue cannot resolve."""
     from repro.obs.schema import lookup
@@ -364,6 +383,7 @@ def main(argv: List[str] | None = None) -> int:
     failures += check_alert_rules()
     if serve_snapshot is not None:
         failures += check_prometheus(serve_snapshot)
+        failures += check_freshness(serve_snapshot)
     if failures:
         print(f"check_metrics: {len(failures)} failure(s):")
         for failure in failures:
@@ -375,8 +395,8 @@ def main(argv: List[str] | None = None) -> int:
     print(
         f"check_metrics: {static_count} call site(s) and "
         f"{runtime_count} recorded name(s) all resolve against "
-        f"METRIC_SPECS; {len(ALERT_RULES)} alert rule(s) and the "
-        "Prometheus exposition check out"
+        f"METRIC_SPECS; {len(ALERT_RULES)} alert rule(s), the "
+        "Prometheus exposition and the freshness audit check out"
     )
     return 0
 
