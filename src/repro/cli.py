@@ -391,8 +391,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--batch-events", type=int, default=2048,
                        help="micro-batch size in events (default: 2048)")
     serve.add_argument("--batch-interval", type=float, default=0.05,
-                       help="partial-batch flush period in seconds "
-                       "(default: 0.05)")
+                       help="snapshot catch-up period in seconds; the "
+                       "staleness bound is twice this (default: 0.05)")
     serve.add_argument("--max-pending-batches", type=int, default=16,
                        help="backpressure budget: pending micro-batches "
                        "before ingest frames are refused (default: 16)")

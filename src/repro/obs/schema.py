@@ -197,7 +197,8 @@ METRIC_SPECS: Dict[str, MetricSpec] = {
               "client retries; never silently dropped)"),
         _spec("serve.batch.fill", "histogram", "elements", "serve",
               "micro-batch sizes handed to the flusher (full batches at "
-              "batch_events; partial tails from the ticker and flush)"),
+              "batch_events; partial batches when the flusher goes "
+              "idle, and from flush)"),
         _spec("serve.batch.flush_seconds", "histogram", "seconds", "serve",
               "backend.ingest time of one micro-batch, timed on the "
               "backend thread (executor wait and the snapshot that "
@@ -225,9 +226,9 @@ METRIC_SPECS: Dict[str, MetricSpec] = {
         _spec("serve.freshness.ack_to_visible_seconds", "histogram",
               "seconds", "serve",
               "one ingest frame from its ack to the first installed view "
-              "that covers it (1-2-5 buckets, 1 ms to 10 s); bounded by "
-              "2 x batch_interval while the flusher keeps up, plus queue "
-              "depth x flush time under overload"),
+              "that covers it (1-2-5 buckets, 0.1 ms to 10 s); bounded "
+              "by 2 x batch_interval while the flusher keeps up, plus "
+              "queue depth x flush time under overload"),
         _spec("serve.query.requests", "counter", "queries", "serve",
               "one-shot queries answered (point/set/topk and the "
               "first answer of interval registrations)"),

@@ -5,14 +5,17 @@ One :class:`StreamServer` owns one backend from
 splits the work across three concerns so the hot ingest path never
 waits on a reader (the Gulisano-style snapshot-read design):
 
-**Ingest plane.**  ``ingest`` frames append to a pending buffer; full
-micro-batches of ``batch_events`` elements move onto a bounded
-:class:`asyncio.Queue` (``max_pending_batches`` deep — the backpressure
-budget) that a single flusher task drains into ``backend.ingest``
-inside a one-thread executor, so the event loop never blocks on the
-counting core and backend access stays serialized.  A ticker flushes
-partial batches every ``batch_interval`` seconds so a trickle of
-events still lands.
+**Ingest plane.**  Batches move onto a bounded :class:`asyncio.Queue`
+(``max_pending_batches`` deep — the backpressure budget) that a single
+flusher task drains into ``backend.ingest`` inside a one-thread
+executor, so the event loop never blocks on the counting core and
+backend access stays serialized.  Batching is group commit: a frame
+that finds the flusher idle and the queue empty goes onto the queue at
+once as a partial batch; otherwise it waits in a pending buffer, which
+cuts full micro-batches of ``batch_events`` elements as it fills and
+hands its tail to the flusher as soon as the flusher drains the queue.
+So batches grow only with the backlog of a busy flusher, never with a
+timer while it idles.
 
 **Query plane.**  Queries are answered from an immutable
 :class:`~repro.backend.base.Snapshot` — never from live backend state —
@@ -21,15 +24,16 @@ flusher builds that view in the same executor job as the batch it
 reflects, right after ``backend.ingest``, and the loop installs it.  A
 snapshot may take at most about a tenth of the backend thread: the
 flusher skips it while the last one ended less than
-:data:`SNAPSHOT_GAP` of its own durations ago, and once it is due the
-ticker catches a skipped view up with an empty batch.  Every answer
-reports its ``staleness`` (seconds since the view was built).  While
-the flusher keeps up, an acknowledged event becomes visible within
-``staleness_bound`` = ``2 × batch_interval``, which ``stats``
-reports: one ticker period in the pending buffer plus one for a
-deferred snapshot (that needs a snapshot under a ninth of
-``batch_interval``).  Under overload the queue-drain term — queue
-depth × flush time — comes on top; ``serve.queue.depth`` shows it.
+:data:`SNAPSHOT_GAP` of its own durations ago, and once it is due a
+``batch_interval`` ticker catches a skipped view up with an empty
+batch.  Every answer reports its ``staleness`` (seconds since the view
+was built).  While the flusher keeps up, an acknowledged event becomes
+visible within ``staleness_bound`` = ``2 × batch_interval``, which
+``stats`` reports: the batch in flight plus the event's own flush,
+plus one catch-up period for a deferred snapshot (that needs a
+snapshot under a ninth of ``batch_interval``).  Under overload the
+queue-drain term — queue depth × flush time — comes on top;
+``serve.queue.depth`` shows it.
 ``serve.freshness.ack_to_visible_seconds`` measures the promise
 directly: each ingest frame from its ack to the first view that
 covers it.
@@ -109,7 +113,7 @@ class ServeConfig:
     epsilon: float = 0.001              #: sketch-cm-vec, mp-one-table
     seed: int = 0                       #: sketch engines
     batch_events: int = 2048            #: micro-batch size (elements)
-    batch_interval: float = 0.05        #: partial-batch flush period (s)
+    batch_interval: float = 0.05        #: snapshot catch-up period (s)
     max_pending_batches: int = 16       #: backpressure budget (batches)
     max_frame_bytes: int = 65536        #: one NDJSON line's byte budget
     max_buffer_bytes: int = 1 << 20     #: slow-subscriber disconnect line
@@ -154,9 +158,10 @@ class ServeConfig:
     @property
     def staleness_bound(self) -> float:
         """Seconds an acked event can stay invisible while the flusher
-        keeps up: one ticker period pending plus one deferred snapshot.
-        Under overload the queue-drain term (``serve.queue.depth`` ×
-        flush time) comes on top."""
+        keeps up: the batch in flight plus its own flush, plus one
+        catch-up period for a deferred snapshot.  Under overload the
+        queue-drain term (``serve.queue.depth`` × flush time) comes on
+        top."""
         return 2 * self.batch_interval
 
 
@@ -229,6 +234,7 @@ class StreamServer:
             maxsize=config.max_pending_batches
         )
         self._view: Optional[_View] = None
+        self._flushing = False          #: the flusher holds a batch
         self._processed = 0             #: acked into the backend
         self._accepted = 0              #: acked off the wire (>= processed)
         self._tasks: List[asyncio.Task] = []
@@ -374,8 +380,8 @@ class StreamServer:
         for sub in list(self._subs.values()):
             self._drop_subscription(sub.sub_id)
         # drain what was already acked so close() honours the contract;
-        # the batch leaves _pending *before* the await so a concurrent
-        # ticker/flush can never re-queue or drop the same events
+        # the batch leaves _pending *before* the await so the flusher or
+        # a concurrent flush can never re-queue or drop the same events
         while self._pending:
             batch = self._pending[: self.config.batch_events]
             del self._pending[: len(batch)]
@@ -407,6 +413,7 @@ class StreamServer:
         fault = self.config.fault
         while True:
             batch = await self._queue.get()
+            self._flushing = True
             try:
                 if batch:
                     self._flushes += 1
@@ -443,7 +450,11 @@ class StreamServer:
                     file=sys.stderr, flush=True,
                 )
             finally:
+                self._flushing = False
                 self._queue.task_done()
+                if self._queue.empty():
+                    # group commit: what piled up meanwhile goes next
+                    self._flush_pending(partial=True)
                 self._m_queue_depth.set(self._queue.qsize())
 
     def _ingest_then_snapshot(self, batch: List[Any]):
@@ -518,12 +529,10 @@ class StreamServer:
         )
 
     async def _ticker(self) -> None:
-        """Every ``batch_interval``: queue the partial batch, and once a
-        snapshot is due, catch a view the flusher skipped up with an
-        empty batch."""
+        """Every ``batch_interval``, once a snapshot is due, catch a view
+        the flusher skipped up with an empty batch."""
         while True:
             await asyncio.sleep(self.config.batch_interval)
-            self._flush_pending(partial=True)
             if (
                 self._queue.empty()
                 and self._view.snapshot.processed != self._processed
@@ -689,7 +698,7 @@ class StreamServer:
     # ------------------------------------------------------------------
     def _flush_pending(self, partial: bool) -> None:
         """Move pending events onto the queue; partial flushes allow a
-        short tail batch (the ticker and ``flush`` use them)."""
+        short tail batch (an idle flusher takes one)."""
         batch_events = self.config.batch_events
         while self._pending:
             if len(self._pending) < batch_events and not partial:
@@ -850,7 +859,9 @@ class StreamServer:
         self._stamps.append((self._accepted - self._lost, time.monotonic()))
         self._m_events.inc(len(request.events))
         self._m_frames.inc()
-        self._flush_pending(partial=False)
+        self._flush_pending(
+            partial=not self._flushing and self._queue.empty()
+        )
         return self._ok(request.id, accepted=len(request.events))
 
     def _answer(self, spec: QuerySpec) -> Dict[str, Any]:
@@ -1062,7 +1073,7 @@ class StreamServer:
     async def _do_flush(self, request: FlushRequest) -> Dict[str, Any]:
         """A read barrier: everything acked before this is queryable after."""
         # claim the batch synchronously: if the await suspends on a full
-        # queue, the ticker or a concurrent flush sees _pending without
+        # queue, the flusher or a concurrent flush sees _pending without
         # these events, so nothing is queued twice or deleted unqueued
         while self._pending:
             batch = self._pending[: self.config.batch_events]

@@ -222,6 +222,81 @@ def test_full_batch_is_visible_once_processed_without_flush():
     _run(main())
 
 
+def test_idle_flusher_makes_a_partial_frame_visible_without_the_ticker():
+    """Group commit: a frame that finds the flusher idle is flushed at
+    once as a partial batch.  The batch is far from full and the ticker
+    never fires within the test, so only the idle hand-off can make the
+    frame visible."""
+    async def main():
+        config = ServeConfig(
+            port=0, backend="sequential", capacity=32, batch_events=2048,
+            batch_interval=5.0,
+        )
+        async with StreamServer(config) as server:
+            client = await _Client.connect(server.port)
+            # let the start-up snapshot's gap (microseconds) run out, so
+            # the batch's own snapshot is due
+            await asyncio.sleep(0.01)
+            reply = await client.request(
+                {"op": "ingest", "events": list(range(10))}
+            )
+            assert reply["ok"], reply
+            deadline = time.monotonic() + 0.5
+            while True:
+                reply = await client.request(
+                    {"op": "query", "kind": "topk", "k": 3}
+                )
+                if reply["processed"] == 10:
+                    break
+                assert time.monotonic() < deadline, reply
+                await asyncio.sleep(0.001)
+            await client.close()
+
+    _run(main())
+
+
+def test_busy_flusher_coalesces_frames_and_counts_exactly_once():
+    """While the flusher is busy, frames pile up and leave as one batch
+    (cut at ``batch_events``) when it frees up: fewer flushes than
+    frames, no batch over the size, every event counted once and every
+    acked frame's freshness observed once."""
+    async def main():
+        metrics = MetricsRegistry()
+        config = ServeConfig(
+            port=0, backend="sequential", capacity=64, batch_events=16,
+        )
+        async with StreamServer(config, metrics=metrics) as server:
+            real_ingest = server._backend.ingest
+
+            def slow_ingest(batch):
+                time.sleep(0.02)
+                real_ingest(batch)
+
+            server._backend.ingest = slow_ingest
+            client = await _Client.connect(server.port)
+            frames = 20
+            for i in range(frames):
+                reply = await client.request({
+                    "op": "ingest",
+                    "events": ["f%d-%d" % (i, j) for j in range(5)],
+                })
+                assert reply["ok"], reply
+            flushed = await client.request({"op": "flush"})
+            stats = (await client.request({"op": "stats"}))["stats"]
+            assert flushed["processed"] == stats["accepted_events"] == 100
+            await client.close()
+        histograms = metrics.snapshot()["histograms"]
+        assert histograms["serve.batch.flush_seconds"]["count"] < frames
+        fill = histograms["serve.batch.fill"]
+        assert fill["buckets"][-1] == config.batch_events
+        assert fill["counts"][-1] == 0          # nothing over batch_events
+        assert fill["sum"] == 100
+        freshness = histograms["serve.freshness.ack_to_visible_seconds"]
+        assert freshness["count"] == frames
+
+    _run(main())
+
+
 def test_snapshots_take_a_bounded_share_of_wall_time():
     """cots-sim's snapshot replays the whole stream, so a rebuild after
     every small batch would soon eat the backend thread; the snapshot
