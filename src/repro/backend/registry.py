@@ -1,8 +1,8 @@
 """Name -> Backend factory registry.
 
-The one engine table: the serve tier (``serve`` / ``serve-bench
---backend``), the scenario accuracy matrix and the conformance tests
-all resolve engine names here and nowhere else.
+The one engine table: the serve tier (``serve --backend``), the
+scenario accuracy matrix and the conformance tests all resolve engine
+names here and nowhere else.
 
 Factories take one uniform keyword set and ignore what they don't use
 (a sequential counter has no ``workers``); that keeps the call sites

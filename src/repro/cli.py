@@ -86,16 +86,6 @@ Commands
         python -m repro serve --backend sequential --port 7070
         python -m repro serve --backend mp-one-table --workers 4
 
-``serve-bench``
-    Load-generate against an in-process server: N thousand genuinely
-    concurrent client connections stream zipfian keys and queries
-    through real sockets, then every answer is audited against exact
-    ground truth; writes BENCH_serve.json (connections, ingest
-    events/s, p50/p99 query latency, measured staleness)::
-
-        python -m repro serve-bench --scale smoke
-        python -m repro serve-bench --scale default --backend mp-shm
-
 ``top``
     Live terminal dashboard for a running server: attaches to its
     ``metrics`` push stream and renders windowed rates, latency
@@ -409,25 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--fault", choices=("flush-failure",), default=None,
                        help="inject a serve fault for alert drills "
                        "(testing only)")
-
-    serve_bench = commands.add_parser(
-        "serve-bench",
-        help="load-generate N thousand concurrent connections against "
-        "an in-process server and write BENCH_serve.json",
-    )
-    serve_bench.add_argument(
-        "--scale", choices=("smoke", "default"), default="default",
-        help="load preset; smoke (1000 connections) is the CI gate "
-        "(default: default)",
-    )
-    serve_bench.add_argument(
-        "--backend", choices=BACKEND_NAMES, default="sequential",
-        help="counting engine under load (default: sequential)",
-    )
-    serve_bench.add_argument(
-        "--output", type=pathlib.Path, default=None,
-        help="result file (default: ./BENCH_serve.json)",
-    )
 
     top = commands.add_parser(
         "top",
@@ -906,45 +877,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    """Run the serve load bench; exit 1 on any violation."""
-    import json
-
-    from repro.serve import format_serve_report, run_serve_bench
-
-    output = args.output if args.output is not None else pathlib.Path(
-        "BENCH_serve.json"
-    )
-    report = run_serve_bench(scale=args.scale, backend=args.backend)
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    print(format_serve_report(report))
-    print(f"wrote {output}")
-    entry = report["results"][0]
-    if entry["guarantee_violations"] or entry["protocol_errors"]:
-        print(
-            f"serve-bench: {entry['guarantee_violations']} guarantee "
-            f"violation(s), {entry['protocol_errors']} protocol error(s)",
-            file=sys.stderr,
-        )
-        return 1
-    if not entry["latency_crosscheck_ok"]:
-        print(
-            "serve-bench: sampled and histogram-derived latency "
-            "quantiles diverge by more than one bucket",
-            file=sys.stderr,
-        )
-        return 1
-    if not (entry["metrics_op_ok"] and entry["prometheus_scrape_ok"]):
-        print(
-            "serve-bench: the mid-load live-telemetry probe failed "
-            f"(metrics_op_ok={entry['metrics_op_ok']}, "
-            f"prometheus_scrape_ok={entry['prometheus_scrape_ok']})",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _cmd_top(args: argparse.Namespace) -> int:
     """Attach the live dashboard to a running server."""
     import asyncio
@@ -1075,7 +1007,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "schedcheck": _cmd_schedcheck,
         "scenarios": _cmd_scenarios,
         "serve": _cmd_serve,
-        "serve-bench": _cmd_serve_bench,
         "top": _cmd_top,
         "trace": _cmd_trace,
     }

@@ -41,15 +41,11 @@ from repro.errors import ConfigurationError
 #: default histogram bounds: powers of two, good for queue depths/counts
 DEFAULT_BUCKETS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
-#: default bounds for latency histograms (seconds)
+#: default bounds for latency histograms (seconds): 1-2-5 per decade
+#: from 0.1 ms to 10 s, so a quantile lands within a factor of 2.5 of
+#: the truth, also for the sub-millisecond visibility an idle flusher
+#: gives small frames
 TIME_BUCKETS: Tuple[float, ...] = (
-    0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0,
-)
-
-#: 1-2-5 per decade from 0.1 ms to 10 s: fine enough that a quantile of
-#: ack-to-visible latency lands within a factor of 2.5 of the truth, also
-#: for the sub-millisecond visibility an idle flusher gives small frames
-FRESHNESS_BUCKETS: Tuple[float, ...] = (
     0.0001, 0.0002, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1,
     0.2, 0.5, 1.0, 2.0, 5.0, 10.0,
 )

@@ -1,15 +1,9 @@
 """The serve tier: async TCP ingest + the live §3.2 query model.
 
-``python -m repro serve`` boots a :class:`StreamServer`;
-``python -m repro serve-bench`` runs the N-thousand-connection load
-generator.  Protocol reference and operator guide: docs/serve.md.
+``python -m repro serve`` boots a :class:`StreamServer`.  Protocol
+reference and operator guide: docs/serve.md.
 """
 
-from repro.serve.bench import (
-    SERVE_SCALES,
-    format_serve_report,
-    run_serve_bench,
-)
 from repro.serve.protocol import (
     ERROR_CODES,
     OPS,
@@ -36,7 +30,6 @@ __all__ = [
     "QUERY_KINDS",
     "QuerySpec",
     "SERVE_FAULTS",
-    "SERVE_SCALES",
     "ServeConfig",
     "StreamServer",
     "WireProtocolError",
@@ -44,10 +37,8 @@ __all__ = [
     "encode_frame",
     "encode_request",
     "error_payload",
-    "format_serve_report",
     "is_push",
     "render_dashboard",
     "run_server",
-    "run_serve_bench",
     "run_top",
 ]

@@ -67,7 +67,6 @@ from repro.backend.registry import BACKEND_NAMES, create_backend
 from repro.errors import ConfigurationError
 from repro.obs.live import RollingWindow, Watchdog, render_prometheus
 from repro.obs.registry import (
-    FRESHNESS_BUCKETS,
     TIME_BUCKETS,
     MetricsRegistry,
     coerce,
@@ -268,7 +267,7 @@ class StreamServer:
             "serve.snapshot.staleness_seconds", TIME_BUCKETS
         )
         self._m_freshness = m.histogram(
-            "serve.freshness.ack_to_visible_seconds", FRESHNESS_BUCKETS
+            "serve.freshness.ack_to_visible_seconds", TIME_BUCKETS
         )
         self._m_queries = m.counter("serve.query.requests")
         self._m_query_seconds = m.histogram(

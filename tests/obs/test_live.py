@@ -8,6 +8,9 @@ registry-shaped view, and the watchdog emits exactly one event per
 firing/resolved transition.
 """
 
+import bisect
+import random
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -22,7 +25,7 @@ from repro.obs.live import (
     prometheus_series,
     render_prometheus,
 )
-from repro.obs.registry import TIME_BUCKETS, merge_snapshots
+from repro.obs.registry import TIME_BUCKETS, Histogram, merge_snapshots
 
 
 def _snap(counters=None, gauges=None, histograms=None):
@@ -103,6 +106,44 @@ def test_quantile_across_buckets():
 def test_quantile_validates_shape():
     with pytest.raises(ConfigurationError):
         histogram_quantile(0.5, (1.0, 2.0), [1, 2])   # missing overflow
+
+
+def _exact_quantile(samples, q):
+    ordered = sorted(samples)
+    return ordered[min(len(ordered) - 1, round(q * (len(ordered) - 1)))]
+
+
+_SPREAD = random.Random(42)
+
+
+@pytest.mark.parametrize("samples", [
+    # everything in the (0.002, 0.005] bucket
+    [0.0021 + 0.00005 * i for i in range(50)],
+    # uniform over 0.2 ms - 0.2 s (seed 42)
+    [_SPREAD.uniform(0.0002, 0.2) for _ in range(500)],
+    # beyond the highest bound: the estimate clamps to it
+    [TIME_BUCKETS[-1] * 3] * 20,
+    [],
+], ids=["single-bucket", "uniform-spread", "beyond-last-bound", "empty"])
+def test_time_bucket_quantiles_within_one_bucket_of_exact(samples):
+    # the same samples two ways: exact order statistics and the bucketed
+    # estimator every live consumer sees.  The estimator interpolates
+    # inside a bucket, so landing further apart means the quantile math
+    # (not the bucketing) is wrong.
+    hist = Histogram(TIME_BUCKETS)
+    for value in samples:
+        hist.observe(value)
+    for q in (0.50, 0.99):
+        derived = histogram_quantile(q, hist.bounds, hist.counts)
+        if not samples:
+            assert derived is None
+            continue
+        exact = _exact_quantile(samples, q)
+        assert abs(bisect.bisect_left(TIME_BUCKETS, exact)
+                   - bisect.bisect_left(TIME_BUCKETS, derived)) <= 1, (
+            q, exact, derived)
+        if exact > TIME_BUCKETS[-1]:
+            assert derived == TIME_BUCKETS[-1]
 
 
 # ----------------------------------------------------------------------

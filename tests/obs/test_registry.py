@@ -18,7 +18,7 @@ from repro.obs import (
     empty_snapshot,
     merge_snapshots,
 )
-from repro.obs.registry import FRESHNESS_BUCKETS
+from repro.obs.registry import TIME_BUCKETS
 
 
 # ----------------------------------------------------------------------
@@ -69,10 +69,10 @@ def test_histogram_default_buckets():
 def test_freshness_buckets_resolve_sub_millisecond_visibility():
     # an idle flusher makes frames visible in well under 1 ms: a 0.3 ms
     # sample must land in the 0.5 ms bucket, not the first one
-    hist = Histogram(FRESHNESS_BUCKETS)
+    hist = Histogram(TIME_BUCKETS)
     hist.observe(0.0003)
-    assert FRESHNESS_BUCKETS[:3] == (0.0001, 0.0002, 0.0005)
-    assert hist.counts[FRESHNESS_BUCKETS.index(0.0005)] == 1
+    assert TIME_BUCKETS[:3] == (0.0001, 0.0002, 0.0005)
+    assert hist.counts[TIME_BUCKETS.index(0.0005)] == 1
     assert hist.counts[0] == 0
 
 
