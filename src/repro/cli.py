@@ -4,8 +4,10 @@ Commands
 --------
 
 ``experiment``
-    Regenerate one (or all) of the paper's tables/figures and print the
-    rows, optionally archiving them to a directory::
+    Regenerate one (or all) of the paper's tables/figures, print the
+    rows and a verdict for each of the paper's shape claims about them
+    (exit 1 when one fails), optionally archiving the tables to a
+    directory::
 
         python -m repro experiment table2 --scale tiny
         python -m repro experiment all --scale default --output results/
@@ -130,12 +132,14 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     experiment = commands.add_parser(
-        "experiment", help="regenerate one of the paper's tables/figures"
+        "experiment",
+        help="regenerate one of the paper's tables/figures and check "
+        "its shape claims",
     )
     experiment.add_argument(
         "which",
-        help="experiment id (fig3a, fig3b, fig4-7, fig11, fig12, table2) "
-        "or 'all'",
+        help="experiment id (fig3a, fig3b, fig4-7, fig11, fig12, table2, "
+        "lean_camp) or 'all'",
     )
     experiment.add_argument(
         "--scale",
@@ -459,6 +463,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         ALL_EXPERIMENTS,
         ExperimentScale,
         ascii_chart,
+        claims_for,
         format_table,
     )
 
@@ -479,10 +484,17 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    tally = {"pass": 0, "fail": 0, "skip": 0}
     for name in chosen:
         result = ALL_EXPERIMENTS[name](scale)
         text = format_table(result)
         print(text)
+        for claim in claims_for(name):
+            verdict = claim.verdict(result, scale)
+            tally[verdict] += 1
+            why = " (strict scales only)" if verdict == "skip" else ""
+            print(f"  {verdict.upper()}  {claim.figure}: {claim.text}"
+                  f"  [{claim.name}]{why}")
         print()
         if args.chart is not None:
             print(ascii_chart(result, args.chart[0], args.chart[1]))
@@ -490,7 +502,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         if args.output is not None:
             args.output.mkdir(parents=True, exist_ok=True)
             (args.output / f"{name}.txt").write_text(text + "\n")
-    return 0
+    print(f"claims at scale {scale.name}: {tally['pass']} passed, "
+          f"{tally['fail']} failed, {tally['skip']} skipped")
+    return 1 if tally["fail"] else 0
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

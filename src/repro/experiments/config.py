@@ -43,7 +43,7 @@ class ExperimentScale:
     seed: int = 7
     #: tiny smoke runs are too short for some asymptotic shapes (e.g. the
     #: CoTS-beats-sequential crossover needs enough stream for delegation
-    #: chains to form); benches skip those assertions when not strict
+    #: chains to form); strict-only claims are skipped when not strict
     strict: bool = True
 
     def __post_init__(self) -> None:

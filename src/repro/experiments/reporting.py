@@ -1,7 +1,7 @@
 """Plain-text rendering of experiment results.
 
-The benchmark harness prints the same rows/series the paper reports;
-these helpers format :class:`~repro.experiments.runner.ExperimentResult`
+``python -m repro experiment`` prints the same rows/series the paper
+reports; these helpers format :class:`~repro.experiments.runner.ExperimentResult`
 objects as aligned ASCII tables and per-alpha series.
 """
 

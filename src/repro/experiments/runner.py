@@ -1,10 +1,12 @@
-"""Shared experiment plumbing: stream caching and result records."""
+"""Shared experiment plumbing: stream caching, result records, claims."""
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Tuple
+import inspect
+from typing import Any, Callable, Dict, List, Tuple
 
+from repro.experiments.config import ExperimentScale
 from repro.workloads.zipf import ZipfStreamSpec
 
 
@@ -29,6 +31,35 @@ class ExperimentResult:
             for row in self.rows
             if all(row.get(key) == value for key, value in criteria.items())
         ]
+
+
+@dataclasses.dataclass(frozen=True)
+class Claim:
+    """One shape the paper reports, as a predicate over a regenerated result.
+
+    ``holds`` is named after the shape and its docstring states it; a
+    ``strict_only`` claim needs streams long enough for the asymptotic
+    shape to form and is skipped at a non-strict scale (``tiny``).
+    """
+
+    experiment_id: str
+    figure: str                     #: e.g. "Fig. 3(a)", "Table 2"
+    holds: Callable[[ExperimentResult, ExperimentScale], bool]
+    strict_only: bool = False
+
+    @property
+    def name(self) -> str:
+        return self.holds.__name__
+
+    @property
+    def text(self) -> str:
+        return " ".join((inspect.getdoc(self.holds) or self.name).split())
+
+    def verdict(self, result: ExperimentResult, scale: ExperimentScale) -> str:
+        """``"pass"``, ``"fail"`` or ``"skip"`` for this claim on ``result``."""
+        if self.strict_only and not scale.strict:
+            return "skip"
+        return "pass" if self.holds(result, scale) else "fail"
 
 
 class StreamCache:

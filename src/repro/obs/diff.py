@@ -4,7 +4,8 @@ Turns two run reports (bench reports with a ``results`` list, or
 single-run documents with a ``metrics`` block) into a per-entry,
 per-metric delta table — and into a *gate*: metrics whose
 :class:`~repro.obs.schema.MetricSpec` declares a bad direction
-(``worse="up"`` / ``"down"``) flag a **regression** when their relative
+(``worse="up"`` / ``"down"``, or ``"both"`` for a deterministic value
+that must not move at all) flag a **regression** when their relative
 change exceeds the spec's tolerance, and the CLI exits non-zero when any
 entry flags.  That turns the committed ``BENCH_core.json`` /
 ``BENCH_mp.json`` trajectories into something CI can hold a fresh run
@@ -43,18 +44,18 @@ class FieldSpec:
     """Direction + slack for one top-level bench entry field."""
 
     name: str
-    worse: Optional[str]      #: 'up' | 'down' | None
+    worse: Optional[str]      #: 'up' | 'down' | 'both' | None
     tolerance: float
     unit: str
 
 
 #: bench entry scalars the comparator understands.  Wall-clock numbers
 #: jitter run to run, so the time/throughput slack is deliberately wide;
-#: simulated cycles are deterministic and get a tight bound.
+#: simulated cycles are deterministic, so any move either way flags.
 BENCH_FIELD_SPECS: Tuple[FieldSpec, ...] = (
     FieldSpec("wall_seconds", "up", 0.75, "seconds"),
     FieldSpec("throughput_eps", "down", 0.50, "elements/s"),
-    FieldSpec("sim_cycles", "up", 0.10, "cycles"),
+    FieldSpec("sim_cycles", "both", 0.0, "cycles"),
     FieldSpec("speedup_vs_sequential", "down", 0.50, "ratio"),
     FieldSpec("peak_rss_kb", "up", 0.75, "kB"),
     FieldSpec("elements", None, 0.0, "elements"),
@@ -165,6 +166,8 @@ def _is_regression(
         return relative > tolerance
     if worse == "down":
         return relative < -tolerance
+    if worse == "both":
+        return abs(relative) > tolerance
     raise ConfigurationError(f"unknown worse direction {worse!r}")
 
 

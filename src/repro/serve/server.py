@@ -1095,6 +1095,7 @@ class StreamServer:
             "connections": self._connections,
             "accepted_events": self._accepted,
             "processed": self._processed,
+            "lost_events": self._lost,
             "pending_events": len(self._pending),
             "queue_depth": self._queue.qsize(),
             "max_pending_batches": cfg.max_pending_batches,

@@ -5,14 +5,12 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments import (
     ALL_EXPERIMENTS,
+    CLAIMS,
     ExperimentScale,
-    STREAMS,
     StreamCache,
-    fig3a,
-    fig11,
     format_series,
     format_table,
-    table2,
+    run_all,
 )
 from repro.experiments.runner import ExperimentResult
 
@@ -20,6 +18,12 @@ from repro.experiments.runner import ExperimentResult
 @pytest.fixture(scope="module")
 def tiny():
     return ExperimentScale.tiny()
+
+
+@pytest.fixture(scope="module")
+def tiny_results(tiny):
+    """Every experiment regenerated once at tiny scale."""
+    return run_all(tiny)
 
 
 def test_scale_presets_valid():
@@ -74,18 +78,34 @@ def test_all_experiments_registry_is_complete():
     }
 
 
-def test_lean_camp_supplement(tiny):
-    from repro.experiments import lean_camp
+def test_every_claim_names_a_registered_experiment():
+    assert {c.experiment_id for c in CLAIMS} == set(ALL_EXPERIMENTS)
+    assert len(CLAIMS) == 27
+    assert sum(c.strict_only for c in CLAIMS) == 5
+    assert len({c.name for c in CLAIMS}) == len(CLAIMS)
 
-    result = lean_camp(tiny)
+
+def test_non_strict_claims_hold_at_tiny(tiny, tiny_results):
+    verdicts = {
+        c.name: c.verdict(tiny_results[c.experiment_id], tiny)
+        for c in CLAIMS
+    }
+    failed = [name for name, verdict in verdicts.items() if verdict == "fail"]
+    assert not failed
+    skipped = {name for name, verdict in verdicts.items() if verdict == "skip"}
+    assert skipped == {c.name for c in CLAIMS if c.strict_only}
+
+
+def test_lean_camp_supplement(tiny_results):
+    result = tiny_results["lean_camp"]
     machines = set(result.column_values("machine"))
     assert len(machines) == 2
     # every row carries positive throughput on both machines
     assert all(row["throughput_meps"] > 0 for row in result.rows)
 
 
-def test_fig3a_rows_structure(tiny):
-    result = fig3a(tiny)
+def test_fig3a_rows_structure(tiny, tiny_results):
+    result = tiny_results["fig3a"]
     assert result.experiment_id == "fig3a"
     assert set(result.columns) <= set(result.rows[0])
     expected_rows = len(tiny.alphas_naive) * len(tiny.naive_threads)
@@ -96,16 +116,16 @@ def test_fig3a_rows_structure(tiny):
         assert first[0]["speedup"] == pytest.approx(1.0)
 
 
-def test_fig11_baseline_is_four_threads(tiny):
-    result = fig11(tiny)
+def test_fig11_baseline_is_four_threads(tiny, tiny_results):
+    result = tiny_results["fig11"]
     for alpha in tiny.alphas_cots:
         base = result.filtered(alpha=alpha, threads=tiny.cots_threads[0])
         assert base[0]["speedup"] == pytest.approx(1.0)
     assert all(row["throughput_meps"] > 0 for row in result.rows)
 
 
-def test_table2_columns(tiny):
-    result = table2(tiny)
+def test_table2_columns(tiny, tiny_results):
+    result = tiny_results["table2"]
     assert len(result.rows) == len(tiny.alphas_naive)
     for row in result.rows:
         assert row["sequential_s"] > 0

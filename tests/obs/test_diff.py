@@ -80,6 +80,17 @@ def test_tolerance_override_silences_the_gate():
     assert not diff_reports(before, after, tolerance=0.01).ok
 
 
+@pytest.mark.parametrize("after", [20_495_035, 29_075_521])
+def test_sim_cycles_flag_any_move_either_way(after):
+    # deterministic simulated cycles: a 29.5% drop (a one-cycle change
+    # to a lock's spin quantum) and a single extra cycle both flag
+    before = {"results": [{"name": "shared-spin", "sim_cycles": 29_075_520}]}
+    moved = {"results": [{"name": "shared-spin", "sim_cycles": after}]}
+    result = diff_reports(before, moved)
+    assert [line.metric for line in result.regressions] == ["sim_cycles"]
+    assert diff_reports(before, copy.deepcopy(before)).ok
+
+
 def test_negative_tolerance_rejected():
     with pytest.raises(ConfigurationError, match="tolerance"):
         diff_reports(bench_report(), bench_report(), tolerance=-1.0)

@@ -627,6 +627,7 @@ def test_flusher_survives_backend_ingest_failure():
             stats = (await client.request({"op": "stats"}))["stats"]
             assert stats["accepted_events"] == 8   # acked, one batch lost
             assert stats["processed"] == 4
+            assert stats["lost_events"] == 4
             await client.close()
 
     _run(main())

@@ -10,6 +10,7 @@ from repro.simcore import (
     CostModel,
     Engine,
     MachineSpec,
+    Mutex,
     Now,
 )
 
@@ -209,3 +210,52 @@ def test_spawn_names_default_and_custom():
     assert named.name == "worker"
     result = engine.run()
     assert set(result.threads) == {"thread-0", "worker"}
+
+
+def _compute_programs():
+    def program():
+        for _ in range(2_000):
+            yield Compute(20)
+
+    return program
+
+
+def _atomic_programs():
+    cell = AtomicCell(0)
+
+    def program():
+        for _ in range(2_000):
+            yield cell.add(1)
+
+    return program
+
+
+def _mutex_programs():
+    mutex = Mutex()
+
+    def program():
+        for _ in range(500):
+            yield mutex.acquire()
+            yield Compute(20)
+            yield mutex.release()
+
+    return program
+
+
+@pytest.mark.parametrize("make_program, events, exact", [
+    (_compute_programs, 16_000, True),
+    (_atomic_programs, 16_000, True),
+    # a blocked acquire may add wake-up events
+    (_mutex_programs, 12_000, False),
+], ids=["compute", "atomic", "mutex"])
+def test_engine_event_counts(make_program, events, exact):
+    """8 threads on 4 cores: one dispatched event per effect."""
+    engine = _engine(cores=4)
+    program = make_program()
+    for _ in range(8):
+        engine.spawn(program())
+    result = engine.run()
+    if exact:
+        assert result.events == events
+    else:
+        assert result.events >= events

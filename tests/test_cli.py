@@ -100,7 +100,10 @@ def test_simulate_every_scheme(capsys, scheme):
 def test_experiment_single(capsys):
     code = main(["experiment", "fig3a", "--scale", "tiny"])
     assert code == 0
-    assert "Figure 3(a)" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "Figure 3(a)" in out
+    assert "PASS  Fig. 3(a)" in out and "[fig3a_no_useful_scaling]" in out
+    assert "claims at scale tiny: 2 passed, 0 failed, 0 skipped" in out
 
 
 def test_experiment_writes_output(tmp_path, capsys):
@@ -109,8 +112,28 @@ def test_experiment_writes_output(tmp_path, capsys):
          "--output", str(tmp_path)]
     )
     assert code == 0
-    capsys.readouterr()
+    out = capsys.readouterr().out
+    assert "SKIP  Table 2" in out and "(strict scales only)" in out
+    assert "4 passed, 0 failed, 1 skipped" in out
     assert (tmp_path / "table2.txt").exists()
+
+
+def test_experiment_failed_claim_exits_1(monkeypatch, capsys):
+    from repro.experiments import figures
+    from repro.experiments.runner import Claim
+
+    def fig3a_impossible(result, scale):
+        """Never holds."""
+        return False
+
+    monkeypatch.setattr(
+        figures, "CLAIMS",
+        figures.CLAIMS + [Claim("fig3a", "Fig. 3(a)", fig3a_impossible)],
+    )
+    assert main(["experiment", "fig3a", "--scale", "tiny"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  Fig. 3(a): Never holds.  [fig3a_impossible]" in out
+    assert "2 passed, 1 failed" in out
 
 
 def test_experiment_with_chart(capsys):
