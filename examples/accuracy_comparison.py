@@ -4,7 +4,7 @@
 A Cormode-&-Hadjieleftheriou-style comparison (the paper's reference [5])
 of every algorithm in this package on the same streams: counter-based
 (Space Saving, Lossy Counting, Misra-Gries, Sticky Sampling) and
-sketch-based (Count-Min, Count Sketch), measured on
+sketch-based (Count-Min), measured on
 
 * top-k recall,
 * frequent-elements precision/recall at phi = 0.5%,
@@ -20,7 +20,6 @@ from repro.analysis import (
 )
 from repro.core import (
     CountMinSketch,
-    CountSketch,
     ExactCounter,
     LossyCounting,
     MisraGries,
@@ -44,9 +43,6 @@ def build_algorithms():
         ("CountMin",
          CountMinSketch(epsilon=1.0 / BUDGET, delta=0.01,
                         track_candidates=BUDGET, seed=1)),
-        ("CountSketch",
-         CountSketch(width=4 * BUDGET, depth=5,
-                     track_candidates=BUDGET, seed=1)),
     ]
 
 

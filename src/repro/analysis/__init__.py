@@ -1,4 +1,4 @@
-"""Accuracy, speedup and profiling analysis utilities."""
+"""Accuracy and profiling analysis utilities."""
 
 from repro.analysis.accuracy import (
     SetAccuracy,
@@ -14,24 +14,16 @@ from repro.analysis.profiling import (
     independent_profile,
     shared_profile,
 )
-from repro.analysis.speedup import (
-    SpeedupSeries,
-    scaling_efficiency,
-    speedup_table,
-)
 
 __all__ = [
     "FIG4_CATEGORIES",
     "FIG5_CATEGORIES",
     "SetAccuracy",
-    "SpeedupSeries",
     "as_percentages",
     "average_relative_error",
     "frequent_accuracy",
     "independent_profile",
-    "scaling_efficiency",
     "set_accuracy",
     "shared_profile",
-    "speedup_table",
     "top_k_accuracy",
 ]

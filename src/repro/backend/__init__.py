@@ -3,9 +3,7 @@
 ``Backend`` (``ingest`` / ``snapshot`` / ``query`` / ``close``) is the
 single driver surface for the sequential baseline, the simulated CoTS
 framework, both multiprocess pools (sharded and one-table) and the
-vectorized Count-Min engine; :mod:`repro.backend.algebra`
-gives their summaries a uniform serialize/merge/widen algebra so any
-backend's answer composes with any other's.
+vectorized Count-Min engine.
 
 >>> from repro.backend import create_backend
 >>> with_backend = create_backend("mp-one-table", workers=4)
@@ -18,13 +16,6 @@ from repro.backend.adapters import (
     MPBackend,
     SequentialBackend,
     SketchCMVecBackend,
-)
-from repro.backend.algebra import (
-    deserialize,
-    error_bound,
-    merge,
-    serialize,
-    widen,
 )
 from repro.backend.base import Backend, Snapshot
 from repro.backend.registry import (
@@ -45,9 +36,4 @@ __all__ = [
     "SketchCMVecBackend",
     "Snapshot",
     "create_backend",
-    "deserialize",
-    "error_bound",
-    "merge",
-    "serialize",
-    "widen",
 ]

@@ -215,8 +215,6 @@ SKETCH_SCALES: Dict[str, Dict[str, Any]] = {
         "epsilon": 0.005,
         "delta": 0.05,
         "sketch_seed": 13,
-        "cs_width": 2_048,
-        "cs_depth": 5,
         "seed": 7,
         "repeats": 1,
         "timeout": 120.0,
@@ -231,8 +229,6 @@ SKETCH_SCALES: Dict[str, Dict[str, Any]] = {
         "epsilon": 0.001,
         "delta": 0.01,
         "sketch_seed": 13,
-        "cs_width": 8_192,
-        "cs_depth": 5,
         "seed": 7,
         "repeats": 2,
         "timeout": 300.0,
@@ -247,8 +243,6 @@ SKETCH_SCALES: Dict[str, Dict[str, Any]] = {
         "epsilon": 0.0005,
         "delta": 0.01,
         "sketch_seed": 13,
-        "cs_width": 16_384,
-        "cs_depth": 5,
         "seed": 7,
         "repeats": 2,
         "timeout": 600.0,
@@ -615,7 +609,6 @@ def _bench_sketch(params: Dict[str, Any]) -> List[Dict[str, Any]]:
 
     from repro.backend.adapters import SketchCMVecBackend
     from repro.core.sketches.count_min import CountMinSketch
-    from repro.core.sketches.count_sketch import CountSketch
     from repro.mp.config import MPConfig
     from repro.mp.one_table import OneTablePool
     from repro.mp.pool import ShardedProcessPool
@@ -719,34 +712,6 @@ def _bench_sketch(params: Dict[str, Any]) -> List[Dict[str, Any]]:
                 "metrics": vec_holder["metrics"],
             },
         ]
-    )
-
-    cs_holder: Dict[str, Any] = {}
-
-    def run_count_sketch() -> None:
-        sketch = CountSketch(
-            width=int(params["cs_width"]),
-            depth=int(params["cs_depth"]),
-            seed=sketch_seed,
-        )
-        for index in range(0, length, chunk):
-            codes, weights = sketch.codec.encode_chunk(
-                stream[index:index + chunk]
-            )
-            sketch.process_weighted(codes, weights)
-        cs_holder["sketch"] = sketch
-
-    cs_secs = _best_of(repeats, run_count_sketch)
-    entries.append(
-        {
-            "name": "sketch-countsketch-vectorized",
-            "kind": "wallclock",
-            "elements": length,
-            "wall_seconds": cs_secs,
-            "throughput_eps": length / cs_secs,
-            "peak_rss_kb": _peak_rss_kb(),
-            "metrics": {},
-        }
     )
 
     truth = exact_counts(stream)

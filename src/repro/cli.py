@@ -574,7 +574,12 @@ def _cmd_count(args: argparse.Namespace) -> int:
     for entry in counter.entries()[: args.top]:
         print(f"{entry.element}\t{entry.count}\t(error<={entry.error})")
     if args.phi > 0:
-        frequent = counter.frequent(args.phi)
+        if args.algorithm == "exact":
+            # ExactCounter.frequent takes an absolute count, not phi
+            threshold = args.phi * counter.processed
+            frequent = [e for e in counter.entries() if e.count > threshold]
+        else:
+            frequent = counter.frequent(args.phi)
         print(f"# elements above {args.phi:.3%} support:")
         for entry in frequent:
             print(f"{entry.element}\t{entry.count}")

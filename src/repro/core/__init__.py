@@ -3,8 +3,8 @@
 The star of the package is :class:`~repro.core.space_saving.SpaceSaving`
 on the :class:`~repro.core.stream_summary.StreamSummary` structure — the
 algorithm the paper adapts into the CoTS framework.  The siblings
-(Lossy Counting, Misra-Gries, Sticky Sampling, Count-Min, Count Sketch)
-are the related-work baselines of Sections 1–2.
+(Lossy Counting, Misra-Gries, Sticky Sampling, Count-Min) are the
+related-work baselines of Sections 1–2.
 """
 
 from repro.core.counters import (
@@ -28,17 +28,13 @@ from repro.core.queries import (
     answer_all,
     drive,
 )
-from repro.core.render import render_concurrent_summary, render_summary
-from repro.core.sample_and_hold import SampleAndHold
-from repro.core.sketches import CountMinSketch, CountSketch
+from repro.core.sketches import CountMinSketch
 from repro.core.space_saving import SpaceSaving
 from repro.core.sticky_sampling import StickySampling
 from repro.core.stream_summary import StreamSummary, SummaryBucket, SummaryNode
-from repro.core.windowed import WindowedSpaceSaving
 
 __all__ = [
     "CountMinSketch",
-    "CountSketch",
     "CounterEntry",
     "Element",
     "ExactCounter",
@@ -50,7 +46,6 @@ __all__ = [
     "PointFrequentQuery",
     "PointTopKQuery",
     "Query",
-    "SampleAndHold",
     "ScheduledAnswer",
     "SpaceSaving",
     "StickySampling",
@@ -58,13 +53,10 @@ __all__ = [
     "SummaryBucket",
     "SummaryNode",
     "TopKSetQuery",
-    "WindowedSpaceSaving",
     "answer",
     "answer_all",
     "drive",
     "hierarchical_merge",
     "merge_schedule",
     "merge_space_saving",
-    "render_concurrent_summary",
-    "render_summary",
 ]

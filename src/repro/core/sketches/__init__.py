@@ -7,6 +7,5 @@ They are included as accuracy/throughput baselines.
 """
 
 from repro.core.sketches.count_min import CountMinSketch
-from repro.core.sketches.count_sketch import CountSketch
 
-__all__ = ["CountMinSketch", "CountSketch"]
+__all__ = ["CountMinSketch"]

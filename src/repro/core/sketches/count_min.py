@@ -26,10 +26,8 @@ Two perf-relevant design points (PR 8):
   construction).  The scalar :meth:`update` path is kept untouched as
   the differential reference.
 
-The mergeable-summary algebra (:meth:`merge` / :meth:`serialize` /
-:meth:`widen`) makes the sketch a first-class citizen of the
-``repro.backend`` protocol: same-shape tables add cell-wise, error
-bounds widen monotonically, and serialization round-trips bit-exactly.
+:meth:`widen` grows the advertised error bound monotonically, which
+the one-table backend uses for unsynchronized band sharing.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from __future__ import annotations
 import collections
 import math
 import random
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -274,7 +272,7 @@ class CountMinSketch:
         return self.entries()[:k]
 
     # ------------------------------------------------------------------
-    # Mergeable-summary algebra
+    # Error-bound widening
     # ------------------------------------------------------------------
     def widen(self, slack: int) -> None:
         """Grow the reported error bound by ``slack`` (never shrinks).
@@ -286,109 +284,3 @@ class CountMinSketch:
         if slack < 0:
             raise ConfigurationError(f"slack must be >= 0, got {slack}")
         self._slack += slack
-
-    def compatible_with(self, other: "CountMinSketch") -> bool:
-        """True when ``other``'s table is cell-addressable like ours."""
-        return (
-            self.width == other.width
-            and self.depth == other.depth
-            and all(
-                (mine.a, mine.b) == (theirs.a, theirs.b)
-                for mine, theirs in zip(self._hashes, other._hashes)
-            )
-            and self.codec.aligned_with(other.codec)
-        )
-
-    def merge(self, other: "CountMinSketch") -> "CountMinSketch":
-        """Pure merge: a new sketch summarizing both input streams.
-
-        Tables add cell-wise, so for every element the merged estimate
-        dominates each part's estimate and never drops below the true
-        combined count.  Requires identical shape and hash parameters
-        *and* aligned codecs (one vocabulary a prefix of the other —
-        guaranteed when both sketches coded the same key arrival order,
-        e.g. codes fanned out from one parent codec); merging sketches
-        that coded different non-integer streams independently would
-        place the same key in different cells and silently undercount.
-        """
-        if not self.compatible_with(other):
-            raise ConfigurationError(
-                "cannot merge incompatible sketches: shapes, hash "
-                "parameters, and codec vocabularies must align"
-            )
-        merged = CountMinSketch(
-            epsilon=self.epsilon,
-            delta=self.delta,
-            conservative=self.conservative and other.conservative,
-            track_candidates=max(self._track, other._track),
-            seed=self.seed,
-        )
-        merged._table = self._table + other._table
-        merged._processed = self._processed + other._processed
-        merged._slack = self._slack + other._slack
-        merged.codec = (
-            self.codec if self.codec.vocab_size >= other.codec.vocab_size
-            else other.codec
-        ).clone()
-        for element in {**other._candidates, **self._candidates}:
-            merged._candidates[element] = merged.estimate(element)
-        if merged._track:
-            while len(merged._candidates) > merged._track:
-                weakest = min(
-                    merged._candidates,
-                    key=lambda e: (merged._candidates[e], repr(e)),
-                )
-                del merged._candidates[weakest]
-        return merged
-
-    def serialize(self) -> Dict[str, Any]:
-        """Plain-dict summary that :meth:`deserialize` restores bit-exactly.
-
-        Values are stdlib/NumPy-free (lists of ints) so the document is
-        JSON- and pickle-friendly; the vocabulary rides along as-is, so
-        cross-process transport needs picklable keys (always true for
-        the str/int/tuple keys the workloads produce).
-        """
-        return {
-            "kind": "count-min",
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "conservative": self.conservative,
-            "track_candidates": self._track,
-            "seed": self.seed,
-            "a": [h.a for h in self._hashes],
-            "b": [h.b for h in self._hashes],
-            "table": self._table.ravel().tolist(),
-            "processed": self._processed,
-            "slack": self._slack,
-            "vocab": list(self.codec._rev),
-            "candidates": dict(self._candidates),
-        }
-
-    @classmethod
-    def deserialize(cls, doc: Dict[str, Any]) -> "CountMinSketch":
-        """Inverse of :meth:`serialize` (bit-exact round-trip)."""
-        if doc.get("kind") != "count-min":
-            raise ConfigurationError(
-                f"not a count-min summary: kind={doc.get('kind')!r}"
-            )
-        sketch = cls(
-            epsilon=doc["epsilon"],
-            delta=doc["delta"],
-            conservative=doc["conservative"],
-            track_candidates=doc["track_candidates"],
-            seed=doc["seed"],
-        )
-        for hash_, a, b in zip(sketch._hashes, doc["a"], doc["b"]):
-            hash_.a, hash_.b = a, b
-        sketch._va = np.array(doc["a"], dtype=np.uint64)
-        sketch._vb = np.array(doc["b"], dtype=np.uint64)
-        sketch._table = np.array(doc["table"], dtype=np.int64).reshape(
-            sketch.depth, sketch.width
-        )
-        sketch._processed = doc["processed"]
-        sketch._slack = doc["slack"]
-        for key in doc["vocab"]:
-            sketch.codec.encode_one(key)
-        sketch._candidates = dict(doc["candidates"])
-        return sketch

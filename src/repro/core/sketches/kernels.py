@@ -89,15 +89,6 @@ def row_hashes(
     return (total % np.uint64(width)).astype(np.intp)
 
 
-def sign_from_bits(bits: np.ndarray) -> np.ndarray:
-    """Map hash parity ``{0, 1}`` to Count Sketch signs ``{-1, +1}``.
-
-    Matches the scalar convention ``1 if h(x) else -1``: parity 1 is
-    ``+1``, parity 0 is ``-1``.
-    """
-    return (bits.astype(np.int64) << 1) - 1
-
-
 def collision_free_groups(
     cells: np.ndarray,
 ) -> Iterator[Tuple[int, int]]:

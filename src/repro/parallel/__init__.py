@@ -13,18 +13,10 @@ from repro.parallel.base import (
 )
 from repro.parallel.hybrid import run_hybrid
 from repro.parallel.independent import run_independent
-from repro.parallel.inter_operator import (
-    InterOperatorResult,
-    OperatorSpec,
-    run_inter_operator,
-)
 from repro.parallel.sequential import run_sequential
-from repro.parallel.sharded import run_sharded
 from repro.parallel.shared import run_shared
 
 __all__ = [
-    "InterOperatorResult",
-    "OperatorSpec",
     "SchemeConfig",
     "SchemeResult",
     "TAG_BUCKET",
@@ -36,8 +28,6 @@ __all__ = [
     "TAG_STRUCTURE",
     "run_hybrid",
     "run_independent",
-    "run_inter_operator",
     "run_sequential",
-    "run_sharded",
     "run_shared",
 ]

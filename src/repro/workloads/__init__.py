@@ -13,9 +13,6 @@ from repro.workloads.generators import (
 from repro.workloads.partition import (
     block_partition,
     chunked,
-    hash_partition,
-    partition,
-    round_robin_partition,
 )
 from repro.workloads.zipf import (
     ZipfStreamSpec,
@@ -34,12 +31,9 @@ __all__ = [
     "drift_stream",
     "expected_frequency",
     "flash_crowd_stream",
-    "hash_partition",
     "hot_set_churn_stream",
     "interleave",
     "paper_scaled_spec",
-    "partition",
-    "round_robin_partition",
     "uniform_stream",
     "weighted_stream",
     "zipf_stream",

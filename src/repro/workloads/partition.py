@@ -1,11 +1,9 @@
 """Partitioning a stream across parallel threads.
 
 The parallel schemes split the input among ``p`` threads.  The paper's
-designs implicitly use contiguous partitions of the buffered input;
-round-robin and hash partitioning are provided as alternatives because
-they change the contention profile (hash partitioning gives each element
-a *home* thread — effectively turning the shared design into a sharded
-one — which the ablation benchmarks explore).
+designs implicitly use contiguous partitions of the buffered input
+(:func:`block_partition`); :func:`chunked` cuts a stream into batches
+for streaming dispatch.
 """
 
 from __future__ import annotations
@@ -18,14 +16,10 @@ from repro.errors import StreamError
 T = TypeVar("T", bound=Hashable)
 
 
-def _check(parts: int) -> None:
-    if parts < 1:
-        raise StreamError(f"parts must be >= 1, got {parts}")
-
-
 def block_partition(stream: Sequence[T], parts: int) -> List[List[T]]:
     """Contiguous chunks of (nearly) equal size; order preserved."""
-    _check(parts)
+    if parts < 1:
+        raise StreamError(f"parts must be >= 1, got {parts}")
     # Slicing a list already yields a fresh list; only non-list
     # sequences (tuples, strings, arrays) need the list() conversion.
     need_copy = not isinstance(stream, list)
@@ -57,43 +51,3 @@ def chunked(iterable: Iterable[T], size: int) -> Iterator[List[T]]:
         if not chunk:
             return
         yield chunk
-
-
-def round_robin_partition(stream: Sequence[T], parts: int) -> List[List[T]]:
-    """Element ``i`` goes to partition ``i mod parts``."""
-    _check(parts)
-    result: List[List[T]] = [[] for _ in range(parts)]
-    for index, element in enumerate(stream):
-        result[index % parts].append(element)
-    return result
-
-
-def hash_partition(stream: Sequence[T], parts: int) -> List[List[T]]:
-    """Each element's *value* selects its partition (sharding by key).
-
-    All occurrences of one element land on one thread, eliminating
-    element-level contention entirely at the price of load imbalance
-    under skew — the trade-off the hybrid design discussion (§4.4)
-    alludes to.
-    """
-    _check(parts)
-    result: List[List[T]] = [[] for _ in range(parts)]
-    for element in stream:
-        result[hash(element) % parts].append(element)
-    return result
-
-
-def partition(stream: Sequence[T], parts: int, how: str = "block") -> List[List[T]]:
-    """Dispatch on partitioning strategy name: block, round_robin, hash."""
-    strategies = {
-        "block": block_partition,
-        "round_robin": round_robin_partition,
-        "hash": hash_partition,
-    }
-    try:
-        chosen = strategies[how]
-    except KeyError:
-        raise StreamError(
-            f"unknown partitioning {how!r}; pick one of {sorted(strategies)}"
-        ) from None
-    return chosen(stream, parts)

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from repro.core.space_saving import SpaceSaving
-from repro.core.windowed import WindowedSpaceSaving
 from repro.errors import ConfigurationError
 from repro.workloads.generators import (
     bursty_stream,
@@ -68,19 +67,6 @@ def test_process_many_accepts_generators():
     fast.process_many(x % 5 for x in range(100))
     assert fast.processed == 100
     assert fast.estimate(0) == 20
-
-
-@pytest.mark.parametrize("name", sorted(_streams()))
-def test_windowed_process_many_matches_per_element(name):
-    stream = _streams()[name]
-    base = WindowedSpaceSaving(window_size=600, capacity=40, panes=7)
-    for element in stream:
-        base.process(element)
-    fast = WindowedSpaceSaving(window_size=600, capacity=40, panes=7)
-    fast.process_many(stream)
-    assert fast.processed == base.processed
-    assert fast.window_count == base.window_count
-    assert _state(fast._merged()) == _state(base._merged())
 
 
 def test_from_entries_truncation_is_order_independent():

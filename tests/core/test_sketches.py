@@ -1,8 +1,8 @@
-"""Unit tests for the sketch baselines (Count-Min, Count Sketch)."""
+"""Unit tests for the Count-Min sketch baseline."""
 
 import pytest
 
-from repro.core.sketches import CountMinSketch, CountSketch
+from repro.core.sketches import CountMinSketch
 from repro.errors import ConfigurationError
 
 
@@ -78,40 +78,3 @@ def test_cms_without_tracking_has_no_entries(skewed_stream):
 def test_cms_update_validates_count():
     with pytest.raises(ConfigurationError):
         CountMinSketch(seed=0).update("a", 0)
-
-
-def test_count_sketch_unbiasedness_on_heavy_element(skewed_stream, exact_skewed):
-    sketch = CountSketch(width=2048, depth=5, seed=11)
-    sketch.process_many(skewed_stream)
-    element, truth = exact_skewed.top_k(1)[0]
-    assert abs(sketch.estimate(element) - truth) <= 0.05 * truth + 5
-
-
-def test_count_sketch_for_error_sizing():
-    sketch = CountSketch.for_error(0.1, delta=0.05, seed=0)
-    assert sketch.width >= 300
-    assert sketch.depth >= 2
-
-
-@pytest.mark.parametrize(
-    "kwargs", [{"width": 0}, {"depth": 0}, {"track_candidates": -2}]
-)
-def test_count_sketch_invalid_parameters(kwargs):
-    with pytest.raises(ConfigurationError):
-        CountSketch(**kwargs)
-
-
-def test_count_sketch_candidates_and_queries(skewed_stream, exact_skewed):
-    sketch = CountSketch(width=1024, depth=5, track_candidates=10, seed=2)
-    sketch.process_many(skewed_stream)
-    top = [entry.element for entry in sketch.top_k(2)]
-    expected = [element for element, _ in exact_skewed.top_k(2)]
-    assert top == expected
-    frequent = sketch.frequent(0.1)
-    assert all(e.count > 0.1 * len(skewed_stream) for e in frequent)
-
-
-def test_count_sketch_estimate_clamped_at_zero():
-    sketch = CountSketch(width=4, depth=1, seed=0)
-    sketch.process("x")
-    assert sketch.estimate("definitely-absent-key") >= 0

@@ -1,18 +1,16 @@
 """Cross-scheme integration tests: every design, one stream, one truth.
 
 The deepest consistency check in the repository: the sequential
-baseline, both naive parallel schemes, the hybrid, the CoTS framework
-and the native real-thread delegation counter all process the *same*
-stream, and all of their answers must agree with the exact ground truth
-on the questions Space Saving guarantees (heavy hitters, upper bounds,
-count conservation).
+baseline, both naive parallel schemes, the hybrid and the CoTS
+framework all process the *same* stream, and all of their answers must
+agree with the exact ground truth on the questions Space Saving
+guarantees (heavy hitters, upper bounds, count conservation).
 """
 
 import pytest
 
 from repro.core.counters import ExactCounter
 from repro.cots.framework import CoTSRunConfig, run_cots
-from repro.native.delegation import count_with_threads
 from repro.parallel import (
     SchemeConfig,
     run_hybrid,
@@ -75,13 +73,6 @@ def test_single_structure_schemes_conserve_counts(all_results, stream):
 def test_every_scheme_respects_capacity(all_results):
     for name, result in all_results.items():
         assert len(result.counter) <= CAPACITY, name
-
-
-def test_native_threads_agree_with_simulated(stream, exact):
-    native = count_with_threads(stream, threads=4)
-    assert native.total() == len(stream)
-    for element, _ in exact.top_k(3):
-        assert native.estimate(element) == exact.estimate(element)
 
 
 def test_performance_ordering_matches_the_paper(all_results):

@@ -55,6 +55,33 @@ def test_count_and_merge_matches_heavy_hitters(stream):
     assert top_seq == top_mp
 
 
+_DISJOINT_STREAMS = {
+    "zipf-int": lambda: zipf_stream(20_000, 2_000, 1.2, seed=11),
+    "str-evicting": lambda: [
+        f"key-{x}" for x in zipf_stream(20_000, 5_000, 0.9, seed=5)
+    ],
+}
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("kind", sorted(_DISJOINT_STREAMS))
+def test_shards_are_key_disjoint(kind, workers):
+    """Hash routing gives every key one home shard, even as shards evict."""
+    data = _DISJOINT_STREAMS[kind]()
+    with ShardedProcessPool(
+        MPConfig(workers=workers, capacity=64, chunk_elements=4_096)
+    ) as pool:
+        pool.count(data)
+        shards = pool.snapshot()
+    _assert_joined(pool)
+    keys = [{e.element for e in shard.entries()} for shard in shards]
+    assert all(len(k) == 64 for k in keys)  # every shard evicted
+    for i in range(workers):
+        for j in range(i + 1, workers):
+            assert not keys[i] & keys[j]
+    assert sum(shard.processed for shard in shards) == len(data)
+
+
 def test_single_worker_is_identical_to_sequential(stream):
     """With one worker every chunk lands on the same shard in dispatch
     order, so the merged result must equal the in-process coded lane

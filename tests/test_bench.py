@@ -57,8 +57,6 @@ _MICRO_SKETCH = {
     "epsilon": 0.01,
     "delta": 0.05,
     "sketch_seed": 13,
-    "cs_width": 256,
-    "cs_depth": 5,
     "seed": 7,
     "repeats": 1,
     "timeout": 60.0,
@@ -298,7 +296,6 @@ def test_sketch_suite_report_shape(micro_sketch_scale):
         "sketch-cm-scalar-per-element",
         "sketch-cm-scalar-preagg",
         "sketch-cm-vectorized",
-        "sketch-countsketch-vectorized",
         "sketch-one-table-w1",
         "sketch-one-table-w2",
     ]

@@ -41,12 +41,18 @@ def test_count_from_file(tmp_path, capsys):
 )
 def test_count_every_algorithm(tmp_path, capsys, algorithm):
     stream_file = tmp_path / "stream.txt"
-    stream_file.write_text("\n".join(["x"] * 20 + ["y"] * 5))
+    stream_file.write_text("\n".join(["x"] * 20 + ["y"] * 5 + ["z"]))
     code = main(
-        ["count", str(stream_file), "--algorithm", algorithm, "--top", "1"]
+        ["count", str(stream_file), "--algorithm", algorithm,
+         "--top", "3", "--phi", "0.05"]
     )
     assert code == 0
-    assert "x" in capsys.readouterr().out
+    top, frequent = capsys.readouterr().out.split(
+        "# elements above 5.000% support:\n"
+    )
+    assert "x" in top
+    elements = [line.split("\t")[0] for line in frequent.splitlines()]
+    assert elements[:2] == ["x", "y"]
 
 
 def test_count_with_workers_uses_mp_backend(tmp_path, capsys):

@@ -1,10 +1,5 @@
 """Unit and property tests for stream partitioning."""
 
-import json
-import os
-import pathlib
-import subprocess
-import sys
 from collections import Counter
 
 import pytest
@@ -12,13 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StreamError
-from repro.workloads.partition import (
-    block_partition,
-    chunked,
-    hash_partition,
-    partition,
-    round_robin_partition,
-)
+from repro.workloads.partition import block_partition, chunked
 
 _streams = st.lists(st.integers(min_value=0, max_value=9), max_size=100)
 _parts = st.integers(min_value=1, max_value=8)
@@ -33,42 +22,20 @@ def test_block_partition_sizes_nearly_equal():
     assert [len(p) for p in parts] == [4, 3, 3]
 
 
-def test_round_robin_partition():
-    assert round_robin_partition([1, 2, 3, 4, 5], 2) == [[1, 3, 5], [2, 4]]
-
-
-def test_hash_partition_keeps_element_on_one_shard():
-    parts = hash_partition([1, 2, 1, 3, 1, 2], 3)
-    homes = {}
-    for index, part in enumerate(parts):
-        for element in part:
-            assert homes.setdefault(element, index) == index
-
-
-def test_partition_dispatch():
-    stream = [1, 2, 3, 4]
-    assert partition(stream, 2, "block") == block_partition(stream, 2)
-    assert partition(stream, 2, "round_robin") == round_robin_partition(stream, 2)
-    with pytest.raises(StreamError):
-        partition(stream, 2, "bogus")
-
-
 def test_zero_parts_rejected():
-    for fn in (block_partition, round_robin_partition, hash_partition):
-        with pytest.raises(StreamError):
-            fn([1], 0)
+    with pytest.raises(StreamError):
+        block_partition([1], 0)
 
 
 @given(stream=_streams, parts=_parts)
 @settings(max_examples=100, deadline=None)
 def test_property_partitions_preserve_multiset(stream, parts):
-    for how in ("block", "round_robin", "hash"):
-        pieces = partition(stream, parts, how)
-        assert len(pieces) == parts
-        combined = Counter()
-        for piece in pieces:
-            combined.update(piece)
-        assert combined == Counter(stream)
+    pieces = block_partition(stream, parts)
+    assert len(pieces) == parts
+    combined = Counter()
+    for piece in pieces:
+        combined.update(piece)
+    assert combined == Counter(stream)
 
 
 @given(stream=_streams, parts=_parts)
@@ -83,19 +50,17 @@ def test_property_block_sizes_balanced(stream, parts):
 # Edge cases: more parts than elements, empty streams
 # ----------------------------------------------------------------------
 def test_more_parts_than_elements():
-    for how in ("block", "round_robin", "hash"):
-        pieces = partition([1, 2], 5, how)
-        assert len(pieces) == 5
-        combined = Counter()
-        for piece in pieces:
-            combined.update(piece)
-        assert combined == Counter([1, 2])
-        assert sum(len(piece) == 0 for piece in pieces) >= 3
+    pieces = block_partition([1, 2], 5)
+    assert len(pieces) == 5
+    combined = Counter()
+    for piece in pieces:
+        combined.update(piece)
+    assert combined == Counter([1, 2])
+    assert sum(len(piece) == 0 for piece in pieces) >= 3
 
 
 def test_empty_stream_yields_empty_parts():
-    for how in ("block", "round_robin", "hash"):
-        assert partition([], 3, how) == [[], [], []]
+    assert block_partition([], 3) == [[], [], []]
 
 
 def test_block_partition_parts_are_independent_lists():
@@ -128,46 +93,3 @@ def test_chunked_is_lazy():
 def test_chunked_rejects_bad_size():
     with pytest.raises(StreamError):
         list(chunked([1, 2], 0))
-
-
-# ----------------------------------------------------------------------
-# hash_partition determinism under a pinned PYTHONHASHSEED
-# ----------------------------------------------------------------------
-_HASH_SNIPPET = """
-import json
-from repro.workloads.partition import hash_partition
-stream = ["alpha", "beta", "gamma", "delta", "alpha", "beta", "epsilon"]
-print(json.dumps(hash_partition(stream, 3)))
-"""
-
-
-def _run_pinned(hash_seed: str) -> list:
-    src = pathlib.Path(__file__).resolve().parents[2] / "src"
-    env = dict(os.environ)
-    env["PYTHONHASHSEED"] = hash_seed
-    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-    output = subprocess.run(
-        [sys.executable, "-c", _HASH_SNIPPET],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout
-    return json.loads(output)
-
-
-def test_hash_partition_deterministic_with_pinned_hashseed():
-    """Same PYTHONHASHSEED -> same shard assignment across interpreter
-    runs, for str elements whose hash is otherwise randomized.  (This is
-    why reproducible multiprocess runs over string streams must pin the
-    seed; int elements hash stably regardless.)"""
-    first = _run_pinned("0")
-    second = _run_pinned("0")
-    assert first == second
-    pinned_differently = _run_pinned("12345")
-    combined = Counter()
-    for piece in pinned_differently:
-        combined.update(piece)
-    assert combined == Counter(
-        ["alpha", "beta", "gamma", "delta", "alpha", "beta", "epsilon"]
-    )
