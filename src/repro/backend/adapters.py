@@ -2,9 +2,12 @@
 
 Each adapter is a thin, metered shell: ``backend.ingest.items`` /
 ``backend.ingest.batches`` count what flows in, and
-``backend.snapshot.seconds`` times the query path — the same three
+``backend.snapshot.seconds`` times every snapshot — the same three
 instruments for every engine, which is what makes the bench ladders and
-the scenario matrix directly comparable across designs.
+the scenario matrix directly comparable across designs.  ``query(k)``
+slices a snapshot everywhere but in ``sequential``, which answers it
+with a bounded walk of its Stream Summary (the ``k`` rows of the
+answer, not one per counter) and so takes no snapshot to do it.
 
 Two engine families need a note:
 
@@ -93,6 +96,9 @@ class SequentialBackend(_Instrumented):
         )
         self._m_snapshot_seconds.observe(time.perf_counter() - started)
         return snap
+
+    def query(self, k: int = 10) -> List[CounterEntry]:
+        return self._counter.top_k(k)
 
     def estimate(self, element: Element) -> int:
         return self._counter.estimate(element)

@@ -47,6 +47,7 @@ from typing import (
 )
 
 from repro.core.counters import CounterEntry
+from repro.errors import ConfigurationError
 
 Element = Hashable
 
@@ -74,6 +75,8 @@ class Snapshot:
     )
 
     def top_k(self, k: int) -> List[CounterEntry]:
+        if k < 1:
+            raise ConfigurationError(f"k must be >= 1, got {k}")
         return self.entries[:k]
 
     def __iter__(self) -> Iterator[CounterEntry]:
@@ -94,7 +97,7 @@ class Backend(Protocol):
         ...
 
     def query(self, k: int = 10) -> List[CounterEntry]:
-        """Top-k entries of the current state."""
+        """Top-k entries of the current state (``k >= 1``)."""
         ...
 
     def estimate(self, element: Element) -> int:

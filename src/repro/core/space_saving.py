@@ -164,7 +164,7 @@ class SpaceSaving:
         """Forget everything (fresh summary, zero processed count).
 
         Used by designs that flush local caches into a global structure
-        (the §4.4 Hybrid) and by windowed wrappers.
+        (the §4.4 Hybrid).
         """
         self.summary = StreamSummary()
         self._processed = 0
@@ -456,13 +456,7 @@ class SpaceSaving:
         """
         if not 0 < phi < 1:
             raise ConfigurationError(f"phi must be in (0, 1), got {phi}")
-        threshold = phi * self._processed
-        result: List[CounterEntry] = []
-        for entry in self.entries():
-            if entry.count <= threshold:
-                break  # entries are sorted; nothing further qualifies
-            result.append(entry)
-        return result
+        return self.summary.descending(above=phi * self._processed)
 
     def guaranteed_frequent(self, phi: float) -> List[CounterEntry]:
         """Elements *guaranteed* frequent: ``count - error > phi * N``."""
@@ -475,7 +469,7 @@ class SpaceSaving:
         """The ``k`` elements with the highest estimated counts."""
         if k < 1:
             raise ConfigurationError(f"k must be >= 1, got {k}")
-        return self.entries()[:k]
+        return self.summary.descending(limit=k)
 
     def kth_frequency(self, k: int) -> int:
         """Estimated frequency of the k-th most frequent element (0 if < k)."""

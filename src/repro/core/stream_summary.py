@@ -167,12 +167,34 @@ class StreamSummary:
 
     def entries(self) -> List[CounterEntry]:
         """All monitored elements, sorted by descending count."""
+        return self.descending()
+
+    def descending(
+        self, limit: Optional[int] = None, above: Optional[float] = None
+    ) -> List[CounterEntry]:
+        """Monitored elements by descending count, walked down from the
+        maximum bucket (within a bucket, in insertion order).
+
+        The walk stops after ``limit`` rows, or at the first bucket whose
+        frequency is at or below ``above``, so a top-k or frequent read
+        costs the rows it returns, not one per counter (§3.2's query
+        model).  With neither bound it returns every monitored element.
+        """
         result: List[CounterEntry] = []
-        for bucket in self.buckets_desc():
-            for node in bucket.nodes():
-                result.append(
-                    CounterEntry(node.element, bucket.freq, node.error)
-                )
+        append = result.append
+        remaining = len(self._nodes) if limit is None else limit
+        floor = 0 if above is None else above   # every frequency is >= 1
+        bucket = self._max
+        while bucket is not None and remaining > 0 and bucket.freq > floor:
+            freq = bucket.freq
+            node = bucket.head
+            while node is not None:
+                append(CounterEntry(node.element, freq, node.error))
+                remaining -= 1
+                if not remaining:
+                    return result
+                node = node.next
+            bucket = bucket.prev
         return result
 
     def min_node(self) -> Optional[SummaryNode]:

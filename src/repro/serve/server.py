@@ -24,16 +24,18 @@ flusher builds that view in the same executor job as the batch it
 reflects, right after ``backend.ingest``, and the loop installs it.  A
 snapshot may take at most about a tenth of the backend thread: the
 flusher skips it while the last one ended less than
-:data:`SNAPSHOT_GAP` of its own durations ago, and once it is due a
-``batch_interval`` ticker catches a skipped view up with an empty
-batch.  Every answer reports its ``staleness`` (seconds since the view
-was built).  While the flusher keeps up, an acknowledged event becomes
-visible within ``staleness_bound`` = ``2 × batch_interval``, which
-``stats`` reports: the batch in flight plus the event's own flush,
-plus one catch-up period for a deferred snapshot (that needs a
-snapshot under a ninth of ``batch_interval``).  Under overload the
-queue-drain term — queue depth × flush time — comes on top;
-``serve.queue.depth`` shows it.
+:data:`SNAPSHOT_GAP` times the shortest of the last three snapshot
+durations ago, and once it is due a ``batch_interval`` ticker catches
+a skipped view up with an empty batch.  The shortest of three filters
+out a one-off stall (a descheduled snapshot), which would otherwise
+defer every following view by nine times the stall.  Every answer
+reports its ``staleness`` (seconds since the view was built).  While
+the flusher keeps up, an acknowledged event becomes visible within
+``staleness_bound`` = ``2 × batch_interval``, which ``stats`` reports:
+the batch in flight plus the event's own flush, plus one catch-up
+period for a deferred snapshot (that needs a snapshot under a ninth
+of ``batch_interval``).  Under overload the queue-drain term — queue
+depth × flush time — comes on top; ``serve.queue.depth`` shows it.
 ``serve.freshness.ack_to_visible_seconds`` measures the promise
 directly: each ingest frame from its ack to the first view that
 covers it.
@@ -58,6 +60,7 @@ import concurrent.futures
 import dataclasses
 import itertools
 import json
+import signal
 import sys
 import time
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
@@ -94,8 +97,10 @@ from repro.serve.protocol import (
 SERVE_FAULTS = ("flush-failure",)
 
 #: after a batch, skip the snapshot while the last one ended less than
-#: this many of its own durations ago: snapshots (mp-shm's merge,
-#: cots-sim's replay) then take at most a tenth of the backend thread
+#: this many times the shortest of the last three snapshot durations
+#: ago: snapshots that are slow every time (mp-shm's merge, cots-sim's
+#: replay) then take at most a tenth of the backend thread, and a
+#: one-off stall does not widen the gap
 SNAPSHOT_GAP = 9.0
 
 
@@ -239,7 +244,8 @@ class StreamServer:
         self._tasks: List[asyncio.Task] = []
         self._subs: Dict[str, _Subscription] = {}
         self._sub_ids = itertools.count(1)
-        self._connections = 0
+        #: each open client connection's handler task and its writer
+        self._clients: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._closed = False
         m = self.metrics
         self._m_accepted = m.counter("serve.connections.accepted")
@@ -289,9 +295,11 @@ class StreamServer:
         #: view covers the frame once its ``processed`` reaches it
         self._stamps: Deque[Tuple[int, float]] = collections.deque()
         self._lost = 0                  #: events dropped by failed flushes
-        #: perf_counter time the next post-batch snapshot is due
-        #: (written on the backend thread)
+        #: perf_counter time the next post-batch snapshot is due, and
+        #: the last three snapshot durations that set it (both written
+        #: on the backend thread)
         self._snapshot_due = 0.0
+        self._snapshot_costs: Deque[float] = collections.deque(maxlen=3)
         # -- live telemetry plane ---------------------------------------
         self._live = RollingWindow()
         # the deployment's staleness bound drives the static rule: fire
@@ -366,7 +374,13 @@ class StreamServer:
         await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Drain pending work, close every task, socket and the backend."""
+        """Drain pending work, close every task, socket and the backend.
+
+        Open client connections are closed and their handlers awaited
+        first (the flusher still runs, so a ``flush`` in progress
+        finishes); whatever those handlers acked is then drained like
+        the rest.
+        """
         if self._closed:
             return
         self._closed = True
@@ -376,6 +390,13 @@ class StreamServer:
         if self._metrics_server is not None:
             self._metrics_server.close()
             await self._metrics_server.wait_closed()
+        # abort, not close: close waits to flush a client's unread
+        # replies first, so one client that stopped reading would hang
+        # shutdown.  Each handler then reads EOF and ends normally.
+        handlers = list(self._clients)
+        for writer in self._clients.values():
+            writer.transport.abort()
+        await asyncio.gather(*handlers, return_exceptions=True)
         for sub in list(self._subs.values()):
             self._drop_subscription(sub.sub_id)
         # drain what was already acked so close() honours the contract;
@@ -483,7 +504,8 @@ class StreamServer:
 
     def _snapshot(self) -> Tuple[_View, float, float]:
         """Backend thread: build one query view, timed, and push the next
-        post-batch snapshot ``SNAPSHOT_GAP`` of its durations out."""
+        post-batch snapshot ``SNAPSHOT_GAP`` times the shortest of the
+        last three durations out."""
         start = time.perf_counter()
         snapshot = self._backend.snapshot()
         view = _View(
@@ -492,7 +514,8 @@ class StreamServer:
             refreshed_at=time.monotonic(),
         )
         end = time.perf_counter()
-        self._snapshot_due = end + SNAPSHOT_GAP * (end - start)
+        self._snapshot_costs.append(end - start)
+        self._snapshot_due = end + SNAPSHOT_GAP * min(self._snapshot_costs)
         return view, start, end
 
     async def _refresh_view(self) -> None:
@@ -725,9 +748,10 @@ class StreamServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._connections += 1
+        handler = asyncio.current_task()
+        self._clients[handler] = writer
         self._m_accepted.inc()
-        self._m_active.set(self._connections)
+        self._m_active.set(len(self._clients))
         self.tracer.instant("serve", "accept", "serve")
         owned_subs: List[str] = []
         try:
@@ -751,10 +775,10 @@ class StreamServer:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            del self._clients[handler]
             for sub_id in owned_subs:
                 self._drop_subscription(sub_id)
-            self._connections -= 1
-            self._m_active.set(self._connections)
+            self._m_active.set(len(self._clients))
             writer.close()
             try:
                 await writer.wait_closed()
@@ -1092,7 +1116,7 @@ class StreamServer:
         cfg = self.config
         return self._ok(request.id, stats={
             "backend": cfg.backend,
-            "connections": self._connections,
+            "connections": len(self._clients),
             "accepted_events": self._accepted,
             "processed": self._processed,
             "lost_events": self._lost,
@@ -1115,27 +1139,36 @@ async def run_server(
     tracer: Optional[Tracer] = None,
     ready: Optional[asyncio.Event] = None,
 ) -> None:
-    """Start a server and serve until cancelled (the CLI entry point)."""
+    """Start a server and serve until cancelled (the CLI entry point).
+
+    SIGTERM cancels it like SIGINT does under :func:`asyncio.run`, so
+    both drain acked events, close clients and the backend, and return.
+    """
+    loop = asyncio.get_running_loop()
+    loop.add_signal_handler(signal.SIGTERM, asyncio.current_task().cancel)
     server = StreamServer(config, metrics=metrics, tracer=tracer)
-    await server.start()
-    if ready is not None:
-        ready.set()
-    print(
-        f"serving backend={config.backend} on "
-        f"{config.host}:{server.port} "
-        f"(batch={config.batch_events} budget={config.max_pending_batches} "
-        f"staleness_bound={config.staleness_bound:.2f}s)",
-        flush=True,
-    )
-    if server.metrics_http_port is not None:
+    try:
+        await server.start()
+        if ready is not None:
+            ready.set()
         print(
-            f"metrics: http://{config.host}:{server.metrics_http_port}"
-            f"/metrics (Prometheus text)",
+            f"serving backend={config.backend} on "
+            f"{config.host}:{server.port} "
+            f"(batch={config.batch_events} "
+            f"budget={config.max_pending_batches} "
+            f"staleness_bound={config.staleness_bound:.2f}s)",
             flush=True,
         )
-    try:
+        if server.metrics_http_port is not None:
+            print(
+                f"metrics: http://{config.host}:{server.metrics_http_port}"
+                f"/metrics (Prometheus text)",
+                flush=True,
+            )
         await server.serve_forever()
     except asyncio.CancelledError:
         pass
     finally:
+        # a second SIGTERM during the drain takes the default action
+        loop.remove_signal_handler(signal.SIGTERM)
         await server.stop()

@@ -20,7 +20,7 @@ from repro.backend import (
     Snapshot,
     create_backend,
 )
-from repro.errors import BackendError
+from repro.errors import BackendError, ConfigurationError
 from repro.workloads import zipf_stream
 
 
@@ -34,8 +34,11 @@ def conformance_truth(conformance_stream):
     return Counter(conformance_stream)
 
 
+CAPACITY = 96
+
+
 def _make(name, workers=2):
-    return create_backend(name, capacity=96, threads=2, workers=workers)
+    return create_backend(name, capacity=CAPACITY, threads=2, workers=workers)
 
 
 @pytest.fixture(params=BACKEND_NAMES)
@@ -66,12 +69,22 @@ class TestProtocolConformance:
         snap = backend.snapshot()
         counts = [entry.count for entry in snap.entries]
         assert counts == sorted(counts, reverse=True)
-        assert len(snap.entries) <= 96
+        assert len(snap.entries) <= CAPACITY
 
     def test_query_is_topk_prefix(self, driven):
         _, backend = driven
         snap = backend.snapshot()
         assert backend.query(5) == snap.top_k(5) == snap.entries[:5]
+        for k in (1, 5, CAPACITY, CAPACITY + 1):
+            assert backend.query(k) == backend.snapshot().top_k(k)
+
+    def test_query_rejects_k_below_one(self, driven):
+        _, backend = driven
+        for k in (0, -1):
+            with pytest.raises(ConfigurationError):
+                backend.query(k)
+            with pytest.raises(ConfigurationError):
+                backend.snapshot().top_k(k)
 
     def test_estimates_upper_bound_truth(self, driven,
                                          conformance_truth):

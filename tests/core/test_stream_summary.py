@@ -1,7 +1,12 @@
 """Unit tests for the sequential Stream Summary structure."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.backend import create_backend
+from repro.core.counters import CounterEntry
+from repro.core.space_saving import SpaceSaving
 from repro.core.stream_summary import StreamSummary
 from repro.errors import ReproError
 
@@ -173,3 +178,108 @@ def test_increment_rejects_nonpositive():
 def test_insert_rejects_nonpositive_count():
     with pytest.raises(ReproError):
         StreamSummary().insert("a", count=0)
+
+
+# ----------------------------------------------------------------------
+# Bounded reads: the walk from the max bucket stops at its answer
+# ----------------------------------------------------------------------
+def _full_walk(summary):
+    """Every monitored element by descending count, bucket by bucket
+    (the rows the bounded reads must be prefixes of)."""
+    return [
+        CounterEntry(node.element, bucket.freq, node.error)
+        for bucket in summary.buckets_desc()
+        for node in bucket.nodes()
+    ]
+
+
+def test_descending_bounds():
+    summary = StreamSummary()
+    for name, count in [("a", 1), ("b", 4), ("c", 4), ("d", 2)]:
+        summary.insert(name, count=count)
+    assert [e.element for e in summary.descending(limit=1)] == ["b"]
+    assert [e.element for e in summary.descending(limit=3)] == ["b", "c", "d"]
+    assert [e.element for e in summary.descending(above=2)] == ["b", "c"]
+    assert [e.element for e in summary.descending(above=1.5)] == [
+        "b", "c", "d"]
+    assert summary.descending(limit=2, above=4) == []
+    assert summary.descending(limit=0) == []
+    assert StreamSummary().descending(limit=3) == []
+    assert summary.descending() == summary.entries() == _full_walk(summary)
+
+
+# small alphabets against small capacities: overwrites on most streams,
+# and equal counts (several elements per bucket) on nearly all of them
+_streams = st.lists(
+    st.integers(min_value=0, max_value=12), min_size=0, max_size=300
+)
+_runs = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=12),
+              st.integers(min_value=1, max_value=5)),
+    max_size=40,
+)
+
+
+@given(
+    stream=_streams,
+    runs=_runs,
+    capacity=st.integers(min_value=1, max_value=8),
+    phis=st.lists(
+        st.floats(min_value=0.001, max_value=0.999), min_size=1, max_size=4
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_bounded_reads_equal_the_full_walk(stream, runs, capacity, phis):
+    counter = SpaceSaving(capacity=capacity)
+    counter.process_many(stream)
+    for element, count in runs:
+        counter.process_bulk(element, count)
+    full = _full_walk(counter.summary)
+    assert counter.entries() == full
+    for k in range(1, capacity + 3):
+        assert counter.top_k(k) == full[:k]
+        kth = full[k - 1].count if len(full) >= k else 0
+        assert counter.kth_frequency(k) == kth
+        for element in range(13):
+            estimate = counter.estimate(element)
+            assert counter.is_in_top_k(element, k) == (
+                estimate > 0 and estimate >= kth
+            )
+    for phi in phis:
+        threshold = phi * counter.processed
+        frequent = [e for e in full if e.count > threshold]
+        assert counter.frequent(phi) == frequent
+        assert counter.guaranteed_frequent(phi) == [
+            e for e in frequent if e.guaranteed > threshold
+        ]
+        for k in range(capacity + 3):
+            assert counter.summary.descending(limit=k, above=threshold) == (
+                frequent[:k]
+            )
+
+
+def test_reads_do_not_build_every_entry(monkeypatch):
+    """Top-k, frequent, k-th and membership reads and ``sequential``'s
+    ``query`` answer from the bounded walk, never the full entry list."""
+    stream = [i % 11 for i in range(400)] + [3] * 50 + [7] * 30
+    counter = SpaceSaving(capacity=8)
+    counter.process_many(stream)
+    backend = create_backend("sequential", capacity=8)
+    backend.ingest(stream)
+    full = counter.entries()
+    expected_query = backend.snapshot().top_k(5)
+
+    def refuse(self):
+        raise AssertionError("a bounded read built every entry")
+
+    monkeypatch.setattr(StreamSummary, "entries", refuse)
+    assert counter.top_k(3) == full[:3]
+    assert counter.frequent(0.1) == [
+        e for e in full if e.count > 0.1 * len(stream)
+    ]
+    assert counter.kth_frequency(2) == full[1].count
+    assert counter.is_in_top_k(3, 1)
+    assert not counter.is_in_top_k(7, 1)
+    assert backend.query(5) == expected_query
+    assert backend.query(10) == full
+    backend.close()

@@ -11,7 +11,14 @@ before the flush is queryable (and correct) after it.
 
 import asyncio
 import collections
+import glob
+import itertools
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
 import time
 
 import pytest
@@ -22,6 +29,7 @@ from repro.serve import ServeConfig, StreamServer, is_push
 from repro.workloads import zipf_stream
 
 TIMEOUT = 30.0
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 
 
 class _Client:
@@ -331,6 +339,53 @@ def test_snapshots_take_a_bounded_share_of_wall_time():
             assert snapshots["count"] > 5
             assert snapshots["sum"] <= 0.2 * elapsed, (snapshots, elapsed)
             await client.close()
+
+    _run(main())
+
+
+def test_one_slow_snapshot_does_not_hide_later_frames():
+    """The snapshot gap follows the shortest of the last three snapshot
+    durations, so one snapshot the host stalls (here: 30 ms, on the
+    20th of about 80) does not defer the views after it by nine times
+    the stall: every acked frame becomes visible within
+    ``staleness_bound``."""
+    async def main():
+        metrics = MetricsRegistry()
+        config = ServeConfig(port=0)
+        frames, size = 80, 10
+        async with StreamServer(config, metrics=metrics) as server:
+            real_snapshot = server._backend.snapshot
+            calls = itertools.count(1)
+
+            def stalling_snapshot():
+                if next(calls) == 20:
+                    time.sleep(0.03)
+                return real_snapshot()
+
+            server._backend.snapshot = stalling_snapshot
+            client = await _Client.connect(server.port)
+            for i in range(frames):
+                reply = await client.request(
+                    {"op": "ingest", "events": [i % 7] * size}
+                )
+                assert reply["ok"], reply
+                await asyncio.sleep(0.005)
+            while True:
+                stats = (await client.request({"op": "stats"}))["stats"]
+                if stats["snapshot_processed"] == frames * size:
+                    break
+                await asyncio.sleep(0.01)
+            await client.close()
+        freshness = metrics.snapshot()["histograms"][
+            "serve.freshness.ack_to_visible_seconds"]
+        assert freshness["count"] == frames
+        edges = list(freshness["buckets"]) + [float("inf")]
+        late = [
+            (edge, count)
+            for edge, count in zip(edges, freshness["counts"])
+            if edge > config.staleness_bound and count
+        ]
+        assert not late, (late, freshness)
 
     _run(main())
 
@@ -662,3 +717,99 @@ def test_frame_too_large_closes_connection():
             await fresh.close()
 
     _run(main())
+
+
+# ----------------------------------------------------------------------
+# Shutdown: clients are closed, nothing is left behind
+# ----------------------------------------------------------------------
+def test_stop_closes_open_client_connections():
+    """``stop`` hangs up on connected clients (their handlers end
+    normally) and still drains what they had acked."""
+    async def main():
+        metrics = MetricsRegistry()
+        config = ServeConfig(port=0, backend="sequential", capacity=32)
+        server = StreamServer(config, metrics=metrics)
+        await server.start()
+        idle = await _Client.connect(server.port)
+        busy = await _Client.connect(server.port)
+        reply = await busy.request({"op": "ingest", "events": ["a"] * 5})
+        assert reply["ok"], reply
+        await server.stop()
+        for client in (idle, busy):
+            tail = await asyncio.wait_for(client.reader.read(), TIMEOUT)
+            assert tail == b""
+            await client.close()
+        assert server._processed == 5
+        gauges = metrics.snapshot()["gauges"]
+        assert gauges["serve.connections.active"] == 0
+
+    _run(main())
+
+
+def _children(pid):
+    """Live (not zombie) processes whose parent is ``pid``."""
+    found = []
+    for path in glob.glob("/proc/[0-9]*/stat"):
+        try:
+            with open(path) as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if fields[0] != "Z" and int(fields[1]) == pid:
+            found.append(int(path.split("/")[2]))
+    return found
+
+
+def _alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc and /dev/shm"
+)
+def test_sigterm_shuts_the_server_down_cleanly(tmp_path):
+    """``repro serve`` on mp-shm with a client connected: SIGTERM exits 0
+    with no traceback, and leaves no worker, resource tracker or shared
+    memory segment behind."""
+    segments = set(glob.glob("/dev/shm/psm_*"))
+    env = dict(os.environ, PYTHONPATH=SRC)
+    with open(tmp_path / "stderr.txt", "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--backend", "mp-shm", "--workers", "2"],
+            stdout=subprocess.PIPE, stderr=err, env=env, text=True,
+        )
+    children = []
+    try:
+        line = proc.stdout.readline()
+        port = int(line.split("127.0.0.1:")[1].split()[0])
+        with socket.create_connection(("127.0.0.1", port), TIMEOUT) as sock:
+            sock.sendall(b'{"op": "ingest", "events": [1, 2, 3]}\n')
+            assert json.loads(sock.makefile().readline())["ok"]
+            children = _children(proc.pid)
+            assert len(children) >= 2     # two workers (+ resource tracker)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=20) == 0
+        stderr = (tmp_path / "stderr.txt").read_text()
+        assert "Traceback" not in stderr, stderr
+        deadline = time.monotonic() + 5
+        while any(_alive(pid) for pid in children):
+            assert time.monotonic() < deadline, [
+                pid for pid in children if _alive(pid)]
+            time.sleep(0.05)
+        assert set(glob.glob("/dev/shm/psm_*")) <= segments
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        for pid in children:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        for path in set(glob.glob("/dev/shm/psm_*")) - segments:
+            os.unlink(path)
+
