@@ -19,13 +19,13 @@ from repro.analysis import (
     top_k_accuracy,
 )
 from repro.core import (
-    CountMinSketch,
     ExactCounter,
     LossyCounting,
     MisraGries,
     SpaceSaving,
     StickySampling,
 )
+from repro.core.sketches import CountMinSketch
 from repro.workloads import zipf_stream
 
 PHI = 0.005

@@ -3,7 +3,8 @@
 ``Backend`` (``ingest`` / ``snapshot`` / ``query`` / ``close``) is the
 single driver surface for the sequential baseline, the simulated CoTS
 framework, both multiprocess pools (sharded and one-table) and the
-vectorized Count-Min engine.
+vectorized Count-Min engine (:mod:`repro.backend.sketch`, which loads
+NumPy, so it is imported when built rather than re-exported here).
 
 >>> from repro.backend import create_backend
 >>> with_backend = create_backend("mp-one-table", workers=4)
@@ -11,12 +12,7 @@ vectorized Count-Min engine.
 >>> with_backend.query(k=10)
 """
 
-from repro.backend.adapters import (
-    CotsSimBackend,
-    MPBackend,
-    SequentialBackend,
-    SketchCMVecBackend,
-)
+from repro.backend.adapters import CotsSimBackend, MPBackend, SequentialBackend
 from repro.backend.base import Backend, Snapshot
 from repro.backend.registry import (
     BACKEND_NAMES,
@@ -33,7 +29,6 @@ __all__ = [
     "MPBackend",
     "SKETCH_BACKENDS",
     "SequentialBackend",
-    "SketchCMVecBackend",
     "Snapshot",
     "create_backend",
 ]

@@ -16,27 +16,29 @@ Two engine families need a note:
   ingested batches and re-runs the driver per snapshot.  That is the
   honest cost of querying a simulation mid-stream; the conformance
   tests treat it like any other backend.
-* **Sketch adapters** (``sketch-cm-vec``, ``mp-one-table``): a pure
-  sketch cannot enumerate keys, so the table is paired with a bounded
-  Space Saving *candidate identifier* fed from each chunk's heaviest
-  codes.  Every reported count is read from the sketch table; the
-  identifier only chooses *which* keys to report.  Because that choice
-  is heuristic, a key outside the candidates is answered by the
-  snapshot's frozen ``estimator`` (a read of a table copy), never by
-  the error bound.
+* **Sketch adapters** (``mp-one-table`` here, ``sketch-cm-vec`` in
+  :mod:`repro.backend.sketch`): a pure sketch cannot enumerate keys, so
+  the table is paired with a bounded Space Saving *candidate
+  identifier* fed from each chunk's heaviest codes.  Every reported
+  count is read from the sketch table; the identifier only chooses
+  *which* keys to report.  Because that choice is heuristic, a key
+  outside the candidates is answered by the snapshot's frozen
+  ``estimator`` (a read of a table copy), never by the error bound.
+
+No engine's own modules load here: ``cots-sim`` imports
+:mod:`repro.cots` when it first replays, ``mp-*`` import
+:mod:`repro.mp` and ``sketch-cm-vec`` its NumPy adapter when
+:func:`~repro.backend.registry.create_backend` builds them.  So a
+process that serves the stock engine never loads NumPy.
 """
 
 from __future__ import annotations
 
-import copy
 import time
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import List, Sequence
 
 from repro.backend.base import Element, Snapshot
 from repro.core.counters import CounterEntry
-from repro.core.sketches.count_min import CountMinSketch
 from repro.core.space_saving import SpaceSaving
 from repro.errors import BackendError
 from repro.obs.registry import TIME_BUCKETS, coerce
@@ -220,88 +222,3 @@ class MPBackend(_Instrumented):
         if not self._closed:
             self._pool.close()
         super().close()
-
-
-class SketchCMVecBackend(_Instrumented):
-    """Vectorized Count-Min: NumPy kernels on the coded chunk lane.
-
-    Chunks are coded through the sketch's own codec and land via the
-    vectorized ``process_weighted`` lane; each chunk's heaviest codes
-    feed the bounded candidate identifier (counts are never taken from
-    it — every reported number is a table read).
-    """
-
-    name = "sketch-cm-vec"
-
-    def __init__(
-        self,
-        capacity: int = 256,
-        epsilon: float = 0.001,
-        delta: float = 0.01,
-        seed: Optional[int] = 0,
-        metrics=None,
-    ) -> None:
-        super().__init__(metrics)
-        self._sketch = CountMinSketch(epsilon=epsilon, delta=delta, seed=seed)
-        self._capacity = capacity
-        self._hot = SpaceSaving(capacity=capacity)
-        self._m_updates = self.metrics.counter("sketch.updates")
-        self._m_cells = self.metrics.counter("sketch.cells_touched")
-        self._m_occupancy = self.metrics.gauge("sketch.table.occupancy")
-
-    def ingest(self, batch: Sequence[Element]) -> int:
-        self._ensure_open()
-        codes, weights = self._sketch.codec.encode_chunk(batch)
-        self._sketch.process_weighted(codes, weights)
-        n = len(codes)
-        if n:
-            cap = self._capacity
-            if n > cap:
-                top = np.argpartition(weights, n - cap)[n - cap:]
-                pairs = zip(codes[top].tolist(), weights[top].tolist())
-            else:
-                pairs = zip(codes.tolist(), weights.tolist())
-            self._hot.process_weighted(pairs)
-        if self.metrics.enabled:
-            self._m_updates.inc(n)
-            self._m_cells.inc(n * self._sketch.depth)
-        return self._meter_ingest(len(batch))
-
-    def snapshot(self) -> Snapshot:
-        started = time.perf_counter()
-        sketch = self._sketch
-        bound = sketch.error_bound()
-        decode = sketch.codec.decode
-        entries = sorted(
-            (
-                CounterEntry(
-                    decode(int(code.element)),
-                    sketch.estimate_code(int(code.element)),
-                    bound,
-                )
-                for code in self._hot.entries()
-            ),
-            key=lambda entry: (-entry.count, repr(entry.element)),
-        )
-        if self.metrics.enabled:
-            table = sketch.table
-            self._m_occupancy.set(
-                float(np.count_nonzero(table)) / table.size
-            )
-        # the frozen estimator reads a table copy through the live
-        # codec: codes are append-only, so later keys never move
-        frozen = copy.copy(sketch)
-        frozen._table = sketch._table.copy()
-        snap = Snapshot(
-            scheme=self.name,
-            processed=sketch.processed,
-            entries=entries,
-            error_bound=bound,
-            extras={"depth": sketch.depth, "width": sketch.width},
-            estimator=frozen.estimate,
-        )
-        self._m_snapshot_seconds.observe(time.perf_counter() - started)
-        return snap
-
-    def estimate(self, element: Element) -> int:
-        return self._sketch.estimate(element)

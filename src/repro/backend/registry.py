@@ -7,18 +7,17 @@ names here and nowhere else.
 Factories take one uniform keyword set and ignore what they don't use
 (a sequential counter has no ``workers``); that keeps the call sites
 engine-agnostic, which is the entire point of the protocol.
+
+An engine's own modules (:mod:`repro.mp`, the NumPy sketch adapter)
+load inside its branch of :func:`create_backend`, when it is built, so
+importing the registry costs what the stock engine needs and no more.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.backend.adapters import (
-    CotsSimBackend,
-    MPBackend,
-    SequentialBackend,
-    SketchCMVecBackend,
-)
+from repro.backend.adapters import CotsSimBackend, MPBackend, SequentialBackend
 from repro.backend.base import Backend
 from repro.errors import ConfigurationError
 
@@ -86,6 +85,8 @@ def create_backend(
         )
         return MPBackend(pool_cls, config, name=name, metrics=metrics)
     if name == "sketch-cm-vec":
+        from repro.backend.sketch import SketchCMVecBackend
+
         return SketchCMVecBackend(
             capacity=capacity, epsilon=epsilon, delta=delta, seed=seed,
             metrics=metrics,

@@ -607,7 +607,7 @@ def _bench_sketch(params: Dict[str, Any]) -> List[Dict[str, Any]]:
     """
     import numpy as np
 
-    from repro.backend.adapters import SketchCMVecBackend
+    from repro.backend.sketch import SketchCMVecBackend
     from repro.core.sketches.count_min import CountMinSketch
     from repro.mp.config import MPConfig
     from repro.mp.one_table import OneTablePool

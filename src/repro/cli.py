@@ -526,13 +526,13 @@ def _read_stream(source: str) -> List[str]:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     from repro.core import (
-        CountMinSketch,
         ExactCounter,
         LossyCounting,
         MisraGries,
         SpaceSaving,
         StickySampling,
     )
+    from repro.core.sketches import CountMinSketch
 
     algorithms = {
         "space-saving": lambda: SpaceSaving(capacity=args.capacity),
@@ -864,7 +864,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the serve tier until interrupted."""
     import asyncio
 
-    from repro.errors import ConfigurationError
+    from repro.errors import ConfigurationError, ListenError
     from repro.obs import MetricsRegistry
     from repro.serve import ServeConfig, run_server
 
@@ -893,6 +893,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         asyncio.run(run_server(config, metrics=MetricsRegistry()))
     except KeyboardInterrupt:
         print("serve: interrupted, shut down cleanly")
+    except ListenError as exc:
+        # the server closed its backend before this propagated
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

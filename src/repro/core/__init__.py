@@ -3,8 +3,9 @@
 The star of the package is :class:`~repro.core.space_saving.SpaceSaving`
 on the :class:`~repro.core.stream_summary.StreamSummary` structure — the
 algorithm the paper adapts into the CoTS framework.  The siblings
-(Lossy Counting, Misra-Gries, Sticky Sampling, Count-Min) are the
-related-work baselines of Sections 1–2.
+(Lossy Counting, Misra-Gries, Sticky Sampling) are the related-work
+baselines of Sections 1–2; Count-Min, the NumPy one, is imported from
+:mod:`repro.core.sketches` so that importing this package loads no NumPy.
 """
 
 from repro.core.counters import (
@@ -28,13 +29,11 @@ from repro.core.queries import (
     answer_all,
     drive,
 )
-from repro.core.sketches import CountMinSketch
 from repro.core.space_saving import SpaceSaving
 from repro.core.sticky_sampling import StickySampling
 from repro.core.stream_summary import StreamSummary, SummaryBucket, SummaryNode
 
 __all__ = [
-    "CountMinSketch",
     "CounterEntry",
     "Element",
     "ExactCounter",

@@ -96,6 +96,12 @@ class WorkerTimeoutError(BackendError):
         )
 
 
+class ListenError(ReproError):
+    """A server could not listen on its address: the port is taken, or
+    the host does not resolve or is not local.  The message names the
+    address and the reason; the ``OSError`` is its ``__cause__``."""
+
+
 class QueryError(ReproError):
     """A stream query was malformed or cannot be answered."""
 

@@ -60,6 +60,7 @@ import concurrent.futures
 import dataclasses
 import itertools
 import json
+import os
 import signal
 import sys
 import time
@@ -67,7 +68,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.backend.base import Snapshot
 from repro.backend.registry import BACKEND_NAMES, create_backend
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ListenError
 from repro.obs.live import RollingWindow, Watchdog, render_prometheus
 from repro.obs.registry import (
     TIME_BUCKETS,
@@ -146,6 +147,10 @@ class ServeConfig:
                 raise ConfigurationError(
                     f"{field} must be > 0, got {getattr(self, field)}"
                 )
+        if not 0 <= self.port <= 65535:
+            raise ConfigurationError(
+                f"port must be in [0, 65535], got {self.port}"
+            )
         if self.metrics_port is not None and not (
             0 <= self.metrics_port <= 65535
         ):
@@ -318,7 +323,11 @@ class StreamServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Create the backend, bind the socket, start the service tasks."""
+        """Create the backend, bind the socket, start the service tasks.
+
+        Raises :class:`~repro.errors.ListenError` when a port cannot be
+        bound; the backend is built by then, so call :meth:`stop`.
+        """
         loop = asyncio.get_running_loop()
         cfg = self.config
         self._backend = await loop.run_in_executor(
@@ -334,17 +343,12 @@ class StreamServer:
             ),
         )
         await self._refresh_view()
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            host=cfg.host,
-            port=cfg.port,
-            limit=cfg.max_frame_bytes,
+        self._server = await self._listen(
+            self._handle_connection, cfg.port, limit=cfg.max_frame_bytes
         )
         if cfg.metrics_port is not None:
-            self._metrics_server = await asyncio.start_server(
-                self._handle_metrics_http,
-                host=cfg.host,
-                port=cfg.metrics_port,
+            self._metrics_server = await self._listen(
+                self._handle_metrics_http, cfg.metrics_port
             )
         # baseline window sample at t=0: a failure burst that completes
         # before the first watchdog tick still shows up as an increase
@@ -354,6 +358,26 @@ class StreamServer:
             asyncio.create_task(self._ticker(), name="serve-ticker"),
             asyncio.create_task(self._watchdog_loop(), name="serve-watchdog"),
         ]
+
+    async def _listen(self, handler, port: int, **kwargs) -> asyncio.Server:
+        """Bind ``handler`` on ``config.host:port``; a failure to resolve
+        the host or bind the port raises :class:`ListenError`."""
+        host = self.config.host
+        try:
+            return await asyncio.start_server(
+                handler, host=host, port=port, **kwargs
+            )
+        except OSError as exc:
+            # asyncio wraps a bind error in a message that repeats the
+            # address; the errno's own text is the reason.  Resolver
+            # errors (negative codes) carry theirs in strerror.
+            if exc.errno is not None and exc.errno > 0:
+                reason = os.strerror(exc.errno)
+            else:
+                reason = exc.strerror or str(exc)
+            raise ListenError(
+                f"cannot listen on {host}:{port}: {reason}"
+            ) from exc
 
     @property
     def port(self) -> int:
@@ -417,7 +441,12 @@ class StreamServer:
         self._executor.shutdown(wait=True)
 
     async def __aenter__(self) -> "StreamServer":
-        await self.start()
+        try:
+            await self.start()
+        except BaseException:
+            # __aexit__ will not run: close the backend start() built
+            await self.stop()
+            raise
         return self
 
     async def __aexit__(self, *exc) -> None:

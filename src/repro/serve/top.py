@@ -193,6 +193,10 @@ async def run_top(
 ) -> int:
     """Attach to a server and stream the dashboard; returns exit code."""
     out = out if out is not None else sys.stdout
+    if not 0 <= port <= 65535:
+        print(f"top: port must be in [0, 65535], got {port}",
+              file=sys.stderr)
+        return 2
     try:
         reader, writer = await asyncio.open_connection(host, port)
     except OSError as exc:

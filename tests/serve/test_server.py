@@ -14,6 +14,7 @@ import collections
 import glob
 import itertools
 import json
+import math
 import os
 import signal
 import socket
@@ -24,8 +25,9 @@ import time
 import pytest
 
 from repro.backend import BACKEND_NAMES, create_backend
+from repro.errors import BackendError, ConfigurationError, ListenError
 from repro.obs.registry import MetricsRegistry
-from repro.serve import ServeConfig, StreamServer, is_push
+from repro.serve import SERVE_FAULTS, ServeConfig, StreamServer, is_push
 from repro.workloads import zipf_stream
 
 TIMEOUT = 30.0
@@ -813,3 +815,124 @@ def test_sigterm_shuts_the_server_down_cleanly(tmp_path):
         for path in set(glob.glob("/dev/shm/psm_*")) - segments:
             os.unlink(path)
 
+
+
+def _tagged(tag):
+    """Live processes whose environment carries ``tag`` (inherited by
+    every descendant, reparented or not)."""
+    found = []
+    for path in glob.glob("/proc/[0-9]*/environ"):
+        try:
+            with open(path, "rb") as environ:
+                if tag.encode() not in environ.read().split(b"\0"):
+                    continue
+        except OSError:
+            continue
+        pid = int(path.split("/")[2])
+        if _alive(pid):
+            found.append(pid)
+    return found
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc and /dev/shm"
+)
+def test_busy_port_is_refused_in_one_line(tmp_path):
+    """``repro serve`` on mp-shm whose port is taken exits 2 with one
+    ``cannot listen`` line and no traceback, after closing the backend:
+    no worker, resource tracker or shared memory segment is left."""
+    segments = set(glob.glob("/dev/shm/psm_*"))
+    tag = f"REPRO_BUSY_PORT_TEST={os.getpid()}-{time.monotonic_ns()}"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.update([tag.split("=", 1)])
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        with open(tmp_path / "stderr.txt", "w") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--port", str(port),
+                 "--backend", "mp-shm", "--workers", "2"],
+                stdout=subprocess.DEVNULL, stderr=err, env=env,
+            )
+        try:
+            assert proc.wait(timeout=TIMEOUT) == 2
+            stderr = (tmp_path / "stderr.txt").read_text()
+            assert stderr.startswith(
+                f"serve: cannot listen on 127.0.0.1:{port}: "), stderr
+            assert len(stderr.splitlines()) == 1, stderr
+            deadline = time.monotonic() + 5
+            while _tagged(tag):
+                assert time.monotonic() < deadline, _tagged(tag)
+                time.sleep(0.05)
+            assert set(glob.glob("/dev/shm/psm_*")) <= segments
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            for pid in _tagged(tag):
+                os.kill(pid, signal.SIGKILL)
+            for path in set(glob.glob("/dev/shm/psm_*")) - segments:
+                os.unlink(path)
+
+
+def test_failed_start_closes_the_backend():
+    """A taken port ends ``async with StreamServer`` in ``ListenError``
+    naming the address, and the backend built before it is closed."""
+    async def main():
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            server = StreamServer(ServeConfig(port=port))
+            with pytest.raises(
+                ListenError, match=rf"^cannot listen on 127\.0\.0\.1:{port}: "
+            ):
+                async with server:
+                    pass
+        with pytest.raises(BackendError, match="closed"):
+            server._backend.ingest([1])
+
+    _run(main())
+
+
+@pytest.mark.parametrize("command", ["serve", "top"])
+def test_port_out_of_range_is_refused(command):
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", command, "--port", "70000"],
+        capture_output=True, text=True, timeout=TIMEOUT,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"{command}: port must be in [0, 65535], got 70000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "field, bad, boundary",
+    [
+        ("backend", "nope", BACKEND_NAMES[-1]),
+        ("capacity", 0, 1),
+        ("batch_events", 0, 1),
+        ("max_pending_batches", 0, 1),
+        ("max_frame_bytes", 1023, 1024),
+        ("max_buffer_bytes", 1023, 1024),
+        ("probe_keys", -1, 0),
+        ("batch_interval", 0.0, math.ulp(0.0)),
+        ("batch_interval", float("nan"), math.ulp(0.0)),
+        ("watchdog_interval", 0.0, math.ulp(0.0)),
+        ("metrics_port", -1, 0),
+        ("metrics_port", 65536, 65535),
+        ("fault", "power-loss", SERVE_FAULTS[0]),
+        ("port", -1, 0),
+        ("port", 65536, 65535),
+    ],
+)
+def test_serve_config_rejects_the_first_bad_value(field, bad, boundary):
+    """Every checked field: the first value past its limit raises
+    ``ConfigurationError`` naming the field; the limit itself is
+    accepted."""
+    with pytest.raises(ConfigurationError, match=rf"^{field} "):
+        ServeConfig(**{field: bad})
+    assert getattr(ServeConfig(**{field: boundary}), field) == boundary
