@@ -79,7 +79,7 @@ class SequentialBackend(_Instrumented):
 
     name = "sequential"
 
-    def __init__(self, capacity: int = 256, metrics=None) -> None:
+    def __init__(self, capacity: int, metrics=None) -> None:
         super().__init__(metrics)
         self._counter = SpaceSaving(capacity=capacity)
 
@@ -118,9 +118,7 @@ class CotsSimBackend(_Instrumented):
 
     name = "cots-sim"
 
-    def __init__(
-        self, capacity: int = 256, threads: int = 4, metrics=None
-    ) -> None:
+    def __init__(self, capacity: int, threads: int, metrics=None) -> None:
         super().__init__(metrics)
         self.capacity = capacity
         self.threads = threads

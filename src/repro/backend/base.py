@@ -25,10 +25,11 @@ tests): estimates upper-bound true counts and exceed them by at most
 equals the total ingested weight, and ``snapshot()`` reflects every
 batch ingested before the call.
 
-Engines are built by name with :func:`repro.backend.create_backend`,
-which takes only the sizing knobs (capacity, threads, workers, sketch
-eps/delta/seed); the pools' dispatch chunk and worker timeout stay at
-their :class:`~repro.mp.config.MPConfig` defaults.
+Engines are built with :func:`repro.backend.create_backend` from an
+:class:`~repro.backend.registry.EngineSpec`: a registry name and only
+the sizing knobs (capacity, threads, workers, sketch eps/delta/seed);
+the pools' dispatch chunk and worker timeout stay at their
+:class:`~repro.mp.config.MPConfig` defaults.
 """
 
 from __future__ import annotations
@@ -78,6 +79,14 @@ class Snapshot:
         if k < 1:
             raise ConfigurationError(f"k must be >= 1, got {k}")
         return self.entries[:k]
+
+    def frequent(self, phi: float) -> List[CounterEntry]:
+        """§3.2 set query: entries whose count exceeds ``phi * N``
+        (strictly, as every library summary's ``frequent``)."""
+        if not 0 < phi < 1:
+            raise ConfigurationError(f"phi must be in (0, 1), got {phi}")
+        threshold = phi * self.processed
+        return [entry for entry in self.entries if entry.count > threshold]
 
     def __iter__(self) -> Iterator[CounterEntry]:
         return iter(self.entries)

@@ -32,14 +32,8 @@ class SketchCMVecBackend(_Instrumented):
 
     name = "sketch-cm-vec"
 
-    def __init__(
-        self,
-        capacity: int = 256,
-        epsilon: float = 0.001,
-        delta: float = 0.01,
-        seed: Optional[int] = 0,
-        metrics=None,
-    ) -> None:
+    def __init__(self, capacity: int, epsilon: float, delta: float,
+                 seed: Optional[int], metrics=None) -> None:
         super().__init__(metrics)
         self._sketch = CountMinSketch(epsilon=epsilon, delta=delta, seed=seed)
         self._capacity = capacity

@@ -18,12 +18,13 @@ Commands
         python -m repro generate --length 10000 --alpha 2.0 > stream.txt
 
 ``count``
-    Run a frequency-counting algorithm over a stream file (or stdin) and
-    print the top-k / frequent elements; ``--workers N`` counts on N
-    real processes via the multiprocess sharded backend::
+    Count a stream file (or stdin) on any registered engine, the same
+    table and engine flags as ``serve``, and print the top-k / frequent
+    elements; ``--backend mp-shm --workers N`` counts on N real
+    processes::
 
-        python -m repro count stream.txt --algorithm space-saving \
-            --capacity 100 --top 10 --phi 0.01 --workers 4
+        python -m repro count stream.txt --capacity 100 --top 10 --phi 0.01
+        python -m repro count stream.txt --backend mp-shm --workers 4
 
 ``simulate``
     Drive one parallelization scheme over a synthetic stream on the
@@ -117,6 +118,47 @@ from typing import List, Optional
 
 from repro import __version__
 
+#: elements per ``ingest`` call while ``count`` feeds its engine
+COUNT_BATCH = 8192
+
+
+def _add_engine_flags(command: argparse.ArgumentParser, *flags: str) -> None:
+    """Declare the named engine flags (default: all six) on ``command``
+    with :class:`~repro.backend.registry.EngineSpec`'s defaults;
+    :func:`_engine_spec` reads them back."""
+    from repro.backend.registry import BACKEND_NAMES, EngineSpec
+
+    declared = {
+        "backend": dict(choices=BACKEND_NAMES, default=EngineSpec.name,
+                        help="registered counting engine; sketch engines "
+                        "answer with Count-Min bounds (default: %(default)s)"),
+        "capacity": dict(type=int, default=EngineSpec.capacity,
+                         help="counter/candidate budget: the error bound "
+                         "is N/capacity (default: %(default)s)"),
+        "threads": dict(type=int, default=EngineSpec.threads,
+                        help="simulated threads (cots-sim backend)"),
+        "workers": dict(type=int, default=EngineSpec.workers,
+                        help="worker processes (mp backends)"),
+        "epsilon": dict(type=float, default=EngineSpec.epsilon,
+                        help="Count-Min error bound (sketch-cm-vec and "
+                        "mp-one-table)"),
+        "seed": dict(type=int, default=EngineSpec.seed,
+                     help="sketch hash seed (sketch backends)"),
+    }
+    for flag in flags or declared:
+        command.add_argument(f"--{flag}", **declared[flag])
+
+
+def _engine_spec(args: argparse.Namespace):
+    """The :class:`EngineSpec` the engine flags ask for (raises
+    :class:`~repro.errors.ConfigurationError` naming a bad field)."""
+    from repro.backend.registry import EngineSpec
+
+    return EngineSpec(
+        args.backend, capacity=args.capacity, threads=args.threads,
+        workers=args.workers, epsilon=args.epsilon, seed=args.seed,
+    )
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -173,25 +215,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "stream", nargs="?", default="-",
         help="file with one element per line, or '-' for stdin",
     )
-    count.add_argument(
-        "--algorithm",
-        choices=(
-            "space-saving", "lossy-counting", "misra-gries",
-            "sticky-sampling", "count-min", "exact",
-        ),
-        default="space-saving",
-    )
-    count.add_argument("--capacity", type=int, default=100,
-                       help="counter budget (counter-based algorithms)")
-    count.add_argument("--epsilon", type=float, default=0.01,
-                       help="error bound (lossy-counting / count-min)")
+    _add_engine_flags(count)
     count.add_argument("--top", type=int, default=10,
-                       help="print the top-k elements")
+                       help="print the top-k elements (k >= 1)")
     count.add_argument("--phi", type=float, default=0.0,
-                       help="also print elements above this support")
-    count.add_argument("--workers", type=int, default=1,
-                       help="count on N worker processes via the "
-                       "multiprocess sharded backend (space-saving only)")
+                       help="also print elements above this support, in "
+                       "(0, 1) (default: 0, off)")
 
     simulate = commands.add_parser(
         "simulate",
@@ -307,8 +336,6 @@ def _build_parser() -> argparse.ArgumentParser:
     schedcheck.add_argument("--verbose", action="store_true",
                             help="print one line per schedule")
 
-    from repro.backend.registry import BACKEND_NAMES
-
     scenarios = commands.add_parser(
         "scenarios",
         help="run stream scenarios/adversaries against a backend and "
@@ -324,13 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="scenario name, or 'all' for the full registry "
         "(default: all)",
     )
-    scenarios.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        default="sequential",
-        help="registered engine under test; sketch engines are scored "
-        "on Count-Min overestimate bounds (default: sequential)",
-    )
+    _add_engine_flags(scenarios, "backend", "threads", "workers")
     scenarios.add_argument("--length", type=int, default=20_000)
     scenarios.add_argument("--alphabet", type=int, default=2_000)
     scenarios.add_argument("--capacity", type=int, default=128,
@@ -339,10 +360,6 @@ def _build_parser() -> argparse.ArgumentParser:
     scenarios.add_argument("--seed", type=int, default=7)
     scenarios.add_argument("--k", type=int, default=10,
                            help="top-k depth for recall/precision")
-    scenarios.add_argument("--threads", type=int, default=4,
-                           help="simulated threads (cots-sim backend)")
-    scenarios.add_argument("--workers", type=int, default=2,
-                           help="worker processes (mp backends)")
     scenarios.add_argument(
         "--fuzz", type=int, default=0, metavar="N",
         help="fuzz mode: run N random scenario compositions through "
@@ -366,22 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=7070,
                        help="TCP port; 0 picks an ephemeral port "
                        "(default: 7070)")
-    serve.add_argument("--backend", choices=BACKEND_NAMES,
-                       default="sequential",
-                       help="counting engine behind the server "
-                       "(default: sequential)")
-    serve.add_argument("--capacity", type=int, default=256,
-                       help="counter/candidate budget: the error bound "
-                       "is N/capacity (default: 256)")
-    serve.add_argument("--threads", type=int, default=4,
-                       help="simulated threads (cots-sim backend)")
-    serve.add_argument("--workers", type=int, default=2,
-                       help="worker processes (mp backends)")
-    serve.add_argument("--epsilon", type=float, default=0.001,
-                       help="Count-Min error bound (sketch-cm-vec and "
-                       "mp-one-table)")
-    serve.add_argument("--seed", type=int, default=0,
-                       help="sketch hash seed (sketch backends)")
+    _add_engine_flags(serve)
     serve.add_argument("--batch-events", type=int, default=2048,
                        help="micro-batch size in events (default: 2048)")
     serve.add_argument("--batch-interval", type=float, default=0.05,
@@ -467,12 +469,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         format_table,
     )
 
-    presets = {
-        "tiny": ExperimentScale.tiny,
-        "default": ExperimentScale.default,
-        "large": ExperimentScale.large,
-    }
-    scale = presets[args.scale]()
+    scale = getattr(ExperimentScale, args.scale)()  # a --scale choice
     if args.which == "all":
         chosen = list(ALL_EXPERIMENTS)
     elif args.which in ALL_EXPERIMENTS:
@@ -525,63 +522,35 @@ def _read_stream(source: str) -> List[str]:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    from repro.core import (
-        ExactCounter,
-        LossyCounting,
-        MisraGries,
-        SpaceSaving,
-        StickySampling,
-    )
-    from repro.core.sketches import CountMinSketch
+    from repro.backend.registry import create_backend
+    from repro.errors import ConfigurationError
 
-    algorithms = {
-        "space-saving": lambda: SpaceSaving(capacity=args.capacity),
-        "lossy-counting": lambda: LossyCounting(epsilon=args.epsilon),
-        "misra-gries": lambda: MisraGries(k=args.capacity),
-        "sticky-sampling": lambda: StickySampling(
-            support=max(args.epsilon * 2, 0.001),
-            epsilon=args.epsilon,
-            seed=0,
-        ),
-        "count-min": lambda: CountMinSketch(
-            epsilon=args.epsilon, delta=0.01,
-            track_candidates=args.capacity, seed=0,
-        ),
-        "exact": ExactCounter,
-    }
-    if args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
+    try:
+        spec = _engine_spec(args)
+        if args.top < 1:
+            raise ConfigurationError(f"top must be >= 1, got {args.top}")
+        if not 0 <= args.phi < 1:
+            raise ConfigurationError(
+                f"phi must be 0 (off) or in (0, 1), got {args.phi}"
+            )
+    except ConfigurationError as exc:
+        print(f"count: {exc}", file=sys.stderr)
         return 2
     stream = _read_stream(args.stream)
-    if args.workers > 1:
-        if args.algorithm != "space-saving":
-            print(
-                "--workers > 1 requires --algorithm space-saving "
-                "(the multiprocess backend shards Space Saving)",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.mp import MPConfig, run_mp
-
-        counter = run_mp(
-            stream, MPConfig(workers=args.workers, capacity=args.capacity)
-        ).counter
-    else:
-        counter = algorithms[args.algorithm]()
-        counter.process_many(stream)
-    print(f"# {args.algorithm}: {counter.processed} elements processed")
+    backend = create_backend(spec)
+    try:
+        for start in range(0, len(stream), COUNT_BATCH):
+            backend.ingest(stream[start:start + COUNT_BATCH])
+        snapshot = backend.snapshot()
+    finally:
+        backend.close()
+    print(f"# {spec.name}: {snapshot.processed} elements processed")
     print(f"# top-{args.top}:")
-    for entry in counter.entries()[: args.top]:
+    for entry in snapshot.top_k(args.top):
         print(f"{entry.element}\t{entry.count}\t(error<={entry.error})")
     if args.phi > 0:
-        if args.algorithm == "exact":
-            # ExactCounter.frequent takes an absolute count, not phi
-            threshold = args.phi * counter.processed
-            frequent = [e for e in counter.entries() if e.count > threshold]
-        else:
-            frequent = counter.frequent(args.phi)
         print(f"# elements above {args.phi:.3%} support:")
-        for entry in frequent:
+        for entry in snapshot.frequent(args.phi):
             print(f"{entry.element}\t{entry.count}")
     return 0
 
@@ -616,20 +585,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
     elif args.scheme == "hybrid":
         result = run_hybrid(stream, config)
-    elif args.scheme == "cots-lossy":
-        result = run_lossy_cots(
-            stream,
-            LossyCoTSConfig(
-                threads=args.threads, capacity=args.capacity, machine=machine
-            ),
-        )
     else:
-        result = run_cots(
-            stream,
-            CoTSRunConfig(
-                threads=args.threads, capacity=args.capacity, machine=machine
-            ),
+        run, config_cls = (
+            (run_lossy_cots, LossyCoTSConfig) if args.scheme == "cots-lossy"
+            else (run_cots, CoTSRunConfig)
         )
+        result = run(stream, config_cls(
+            threads=args.threads, capacity=args.capacity, machine=machine
+        ))
     print(f"scheme:      {result.scheme}")
     print(f"stream:      {args.length} elements, zipf alpha={args.alpha}")
     print(f"threads:     {result.threads} on {args.cores} simulated cores")
@@ -686,10 +649,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             result = diff_reports(
                 before, after, tolerance=args.tolerance, entry=args.entry
             )
-        except FileNotFoundError as exc:
-            print(f"report: {exc}", file=sys.stderr)
-            return 2
-        except ConfigurationError as exc:
+        except (FileNotFoundError, ConfigurationError) as exc:
             print(f"report: {exc}", file=sys.stderr)
             return 2
         if args.as_json:
@@ -777,6 +737,7 @@ def _cmd_schedcheck(args: argparse.Namespace) -> int:
 
 def _cmd_scenarios(args: argparse.Namespace) -> int:
     """Scenario accuracy matrix / fuzzer; exit 1 on violations."""
+    from repro.backend.registry import EngineSpec
     from repro.errors import ConfigurationError, StreamError
     from repro.obs import MetricsRegistry
     from repro.scenarios import (
@@ -794,6 +755,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         return 0
 
     try:
+        EngineSpec(args.backend, threads=args.threads, workers=args.workers)
         params = ScenarioParams(
             length=args.length,
             alphabet=args.alphabet,
@@ -872,12 +834,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         config = ServeConfig(
             host=args.host,
             port=args.port,
-            backend=args.backend,
-            capacity=args.capacity,
-            threads=args.threads,
-            workers=args.workers,
-            epsilon=args.epsilon,
-            seed=args.seed,
+            engine=_engine_spec(args),
             batch_events=args.batch_events,
             batch_interval=args.batch_interval,
             max_pending_batches=args.max_pending_batches,

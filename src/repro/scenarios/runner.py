@@ -19,6 +19,7 @@ from typing import Dict, Optional
 from repro.backend.registry import (
     MERGED_BACKENDS,
     SKETCH_BACKENDS,
+    EngineSpec,
     create_backend,
 )
 from repro.core.space_saving import SpaceSaving
@@ -59,11 +60,11 @@ class ScenarioRun:
 
 def run_scenario(
     name: str,
-    backend: str = "sequential",
+    backend: str = EngineSpec.name,
     params: Optional[ScenarioParams] = None,
     k: int = 10,
-    threads: int = 4,
-    workers: int = 2,
+    threads: int = EngineSpec.threads,
+    workers: int = EngineSpec.workers,
     metrics: Optional[MetricsRegistry] = None,
 ) -> ScenarioRun:
     """Build, count and score one scenario on one registered backend.

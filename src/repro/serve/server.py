@@ -67,7 +67,7 @@ import time
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.backend.base import Snapshot
-from repro.backend.registry import BACKEND_NAMES, create_backend
+from repro.backend.registry import EngineSpec, create_backend
 from repro.errors import ConfigurationError, ListenError
 from repro.obs.live import RollingWindow, Watchdog, render_prometheus
 from repro.obs.registry import (
@@ -97,6 +97,11 @@ from repro.serve.protocol import (
 #: serve-tier fault-injection hooks (testing/drills only)
 SERVE_FAULTS = ("flush-failure",)
 
+#: the listening sockets' accept queue: asyncio's default of 100 makes
+#: a burst of connects past it wait out 1 s SYN retransmits; the kernel
+#: clamps this to ``net.core.somaxconn``
+LISTEN_BACKLOG = 4096
+
 #: after a batch, skip the snapshot while the last one ended less than
 #: this many times the shortest of the last three snapshot durations
 #: ago: snapshots that are slow every time (mp-shm's merge, cots-sim's
@@ -111,12 +116,7 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0                       #: 0 = ephemeral (read it back)
-    backend: str = "sequential"
-    capacity: int = 256
-    threads: int = 4                    #: simulated engine (cots-sim)
-    workers: int = 2                    #: multiprocess engines
-    epsilon: float = 0.001              #: sketch-cm-vec, mp-one-table
-    seed: int = 0                       #: sketch engines
+    engine: EngineSpec = EngineSpec()   #: the backend and its knobs
     batch_events: int = 2048            #: micro-batch size (elements)
     batch_interval: float = 0.05        #: snapshot catch-up period (s)
     max_pending_batches: int = 16       #: backpressure budget (batches)
@@ -128,13 +128,8 @@ class ServeConfig:
     fault: Optional[str] = None         #: testing-only serve fault injection
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKEND_NAMES:
-            raise ConfigurationError(
-                f"backend must be one of {list(BACKEND_NAMES)}, "
-                f"got {self.backend!r}"
-            )
         for field, minimum in (
-            ("capacity", 1), ("batch_events", 1), ("max_pending_batches", 1),
+            ("batch_events", 1), ("max_pending_batches", 1),
             ("max_frame_bytes", 1024), ("max_buffer_bytes", 1024),
             ("probe_keys", 0),
         ):
@@ -215,7 +210,7 @@ class StreamServer:
 
     Lifecycle::
 
-        server = StreamServer(ServeConfig(backend="sequential"))
+        server = StreamServer(ServeConfig(engine=EngineSpec("mp-shm")))
         await server.start()          # backend up, listening, tasks running
         ...                           # server.port is the bound port
         await server.stop()           # drain, close backend, release all
@@ -333,12 +328,7 @@ class StreamServer:
         self._backend = await loop.run_in_executor(
             self._executor,
             lambda: create_backend(
-                cfg.backend,
-                capacity=cfg.capacity,
-                threads=cfg.threads,
-                workers=cfg.workers,
-                epsilon=cfg.epsilon,
-                seed=cfg.seed,
+                cfg.engine,
                 metrics=self.metrics if self.metrics.enabled else None,
             ),
         )
@@ -365,7 +355,8 @@ class StreamServer:
         host = self.config.host
         try:
             return await asyncio.start_server(
-                handler, host=host, port=port, **kwargs
+                handler, host=host, port=port, backlog=LISTEN_BACKLOG,
+                **kwargs
             )
         except OSError as exc:
             # asyncio wraps a bind error in a message that repeats the
@@ -676,7 +667,7 @@ class StreamServer:
             "alerts": self._watch.states(),
             "firing": self._watch.firing(),
             "beacons": self._beacons,
-            "backend": self.config.backend,
+            "backend": self.config.engine.name,
             "processed": self._processed,
             "accepted": self._accepted,
             "staleness": (
@@ -929,10 +920,10 @@ class StreamServer:
         if spec.kind == "point":
             answer.update(self._point(view, spec.element))
             if spec.phi is not None:
-                # §3.2 Query 1: is the element's frequency above phi*N?
-                answer["frequent"] = (
-                    answer["count"] >= spec.phi * snapshot.processed
-                )
+                # §3.2 Query 1: is the element in the frequent set?
+                answer["frequent"] = spec.element in {
+                    entry.element for entry in snapshot.frequent(spec.phi)
+                }
             if spec.k is not None:
                 # §3.2 Query 2: does it sit in the current top-k set?
                 top = {entry.element for entry in snapshot.top_k(spec.k)}
@@ -944,13 +935,11 @@ class StreamServer:
                     for element in spec.elements
                 ]
             else:
-                threshold = spec.phi * snapshot.processed
                 answer["results"] = [
                     self._entry_wire(entry)
-                    for entry in snapshot.entries
-                    if entry.count >= threshold
+                    for entry in snapshot.frequent(spec.phi)
                 ]
-                answer["threshold"] = threshold
+                answer["threshold"] = spec.phi * snapshot.processed
         else:  # topk
             answer["results"] = [
                 self._entry_wire(entry) for entry in snapshot.top_k(spec.k)
@@ -1144,7 +1133,7 @@ class StreamServer:
         view = self._view
         cfg = self.config
         return self._ok(request.id, stats={
-            "backend": cfg.backend,
+            "backend": cfg.engine.name,
             "connections": len(self._clients),
             "accepted_events": self._accepted,
             "processed": self._processed,
@@ -1181,7 +1170,7 @@ async def run_server(
         if ready is not None:
             ready.set()
         print(
-            f"serving backend={config.backend} on "
+            f"serving backend={config.engine.name} on "
             f"{config.host}:{server.port} "
             f"(batch={config.batch_events} "
             f"budget={config.max_pending_batches} "

@@ -12,6 +12,7 @@ import asyncio
 import json
 import time
 
+from repro.backend import EngineSpec
 from repro.obs.registry import MetricsRegistry
 from repro.serve import SERVE_FAULTS, ServeConfig, StreamServer, is_push
 
@@ -60,7 +61,7 @@ def _run(coro):
 
 def _config(**overrides):
     base = dict(
-        port=0, backend="sequential", capacity=64,
+        port=0, engine=EngineSpec("sequential", capacity=64),
         batch_events=8, batch_interval=0.01,
         watchdog_interval=0.05,
     )

@@ -24,7 +24,7 @@ import time
 
 import pytest
 
-from repro.backend import BACKEND_NAMES, create_backend
+from repro.backend import BACKEND_NAMES, EngineSpec, create_backend
 from repro.errors import BackendError, ConfigurationError, ListenError
 from repro.obs.registry import MetricsRegistry
 from repro.serve import SERVE_FAULTS, ServeConfig, StreamServer, is_push
@@ -91,7 +91,7 @@ def test_end_to_end_accuracy_against_sequential_reference():
 
     async def main():
         config = ServeConfig(
-            port=0, backend="sequential", capacity=capacity,
+            port=0, engine=EngineSpec("sequential", capacity=capacity),
             batch_events=256, batch_interval=0.01,
         )
         async with StreamServer(config) as server:
@@ -170,7 +170,7 @@ def test_point_answers_never_below_truth(backend):
     keys = [element for element, _ in truth.most_common(400)]
 
     async def main():
-        config = ServeConfig(port=0, backend=backend, capacity=96)
+        config = ServeConfig(port=0, engine=EngineSpec(backend, capacity=96))
         async with StreamServer(config) as server:
             client = await _Client.connect(server.port)
             for start in range(0, len(stream), 1000):
@@ -204,7 +204,8 @@ def test_full_batch_is_visible_once_processed_without_flush():
     async def main():
         metrics = MetricsRegistry()
         config = ServeConfig(
-            port=0, backend="sequential", capacity=32, batch_events=8,
+            port=0, engine=EngineSpec("sequential", capacity=32),
+            batch_events=8,
         )
         async with StreamServer(config, metrics=metrics) as server:
             client = await _Client.connect(server.port)
@@ -239,7 +240,8 @@ def test_idle_flusher_makes_a_partial_frame_visible_without_the_ticker():
     frame visible."""
     async def main():
         config = ServeConfig(
-            port=0, backend="sequential", capacity=32, batch_events=2048,
+            port=0, engine=EngineSpec("sequential", capacity=32),
+            batch_events=2048,
             batch_interval=5.0,
         )
         async with StreamServer(config) as server:
@@ -273,7 +275,8 @@ def test_busy_flusher_coalesces_frames_and_counts_exactly_once():
     async def main():
         metrics = MetricsRegistry()
         config = ServeConfig(
-            port=0, backend="sequential", capacity=64, batch_events=16,
+            port=0, engine=EngineSpec("sequential", capacity=64),
+            batch_events=16,
         )
         async with StreamServer(config, metrics=metrics) as server:
             real_ingest = server._backend.ingest
@@ -318,7 +321,8 @@ def test_snapshots_take_a_bounded_share_of_wall_time():
     async def main():
         metrics = MetricsRegistry()
         config = ServeConfig(
-            port=0, backend="cots-sim", capacity=48, batch_events=10,
+            port=0, engine=EngineSpec("cots-sim", capacity=48),
+            batch_events=10,
             batch_interval=0.01,
         )
         async with StreamServer(config, metrics=metrics) as server:
@@ -399,7 +403,7 @@ def test_backpressure_flood_is_refused_not_dropped():
     async def main():
         metrics = MetricsRegistry()
         config = ServeConfig(
-            port=0, backend="sequential", capacity=32,
+            port=0, engine=EngineSpec("sequential", capacity=32),
             batch_events=4, max_pending_batches=2,
             batch_interval=0.01,
         )
@@ -466,7 +470,7 @@ def test_full_batch_fill_stays_out_of_the_overflow_bucket():
 def test_subscribe_pushes_and_unsubscribe():
     async def main():
         config = ServeConfig(
-            port=0, backend="sequential", capacity=32,
+            port=0, engine=EngineSpec("sequential", capacity=32),
             batch_events=8, batch_interval=0.01,
         )
         async with StreamServer(config) as server:
@@ -512,7 +516,7 @@ def test_subscribe_pushes_and_unsubscribe():
 def test_unsubscribe_requires_owning_connection():
     async def main():
         config = ServeConfig(
-            port=0, backend="sequential", capacity=32,
+            port=0, engine=EngineSpec("sequential", capacity=32),
             batch_events=8, batch_interval=0.01,
         )
         async with StreamServer(config) as server:
@@ -555,7 +559,7 @@ def test_unsubscribe_requires_owning_connection():
 def test_interval_query_pushes_after_every_events():
     async def main():
         config = ServeConfig(
-            port=0, backend="sequential", capacity=32,
+            port=0, engine=EngineSpec("sequential", capacity=32),
             batch_events=8, batch_interval=0.01,
         )
         async with StreamServer(config) as server:
@@ -598,7 +602,7 @@ def test_concurrent_flush_and_ingest_count_exactly_once():
     (the batch leaves ``_pending`` before the await)."""
     async def main():
         config = ServeConfig(
-            port=0, backend="sequential", capacity=64,
+            port=0, engine=EngineSpec("sequential", capacity=64),
             batch_events=4, max_pending_batches=1,
             batch_interval=0.005,
         )
@@ -649,7 +653,7 @@ def test_flusher_survives_backend_ingest_failure():
     async def main():
         metrics = MetricsRegistry()
         config = ServeConfig(
-            port=0, backend="sequential", capacity=32,
+            port=0, engine=EngineSpec("sequential", capacity=32),
             batch_events=4, batch_interval=0.01,
         )
         async with StreamServer(config, metrics=metrics) as server:
@@ -696,7 +700,7 @@ def test_flusher_survives_backend_ingest_failure():
 def test_frame_too_large_closes_connection():
     async def main():
         config = ServeConfig(
-            port=0, backend="sequential", capacity=32,
+            port=0, engine=EngineSpec("sequential", capacity=32),
             max_frame_bytes=1024,
             batch_events=8, batch_interval=0.01,
         )
@@ -729,7 +733,9 @@ def test_stop_closes_open_client_connections():
     normally) and still drains what they had acked."""
     async def main():
         metrics = MetricsRegistry()
-        config = ServeConfig(port=0, backend="sequential", capacity=32)
+        config = ServeConfig(
+            port=0, engine=EngineSpec("sequential", capacity=32)
+        )
         server = StreamServer(config, metrics=metrics)
         await server.start()
         idle = await _Client.connect(server.port)
@@ -912,8 +918,6 @@ def test_port_out_of_range_is_refused(command):
 @pytest.mark.parametrize(
     "field, bad, boundary",
     [
-        ("backend", "nope", BACKEND_NAMES[-1]),
-        ("capacity", 0, 1),
         ("batch_events", 0, 1),
         ("max_pending_batches", 0, 1),
         ("max_frame_bytes", 1023, 1024),
@@ -932,7 +936,104 @@ def test_port_out_of_range_is_refused(command):
 def test_serve_config_rejects_the_first_bad_value(field, bad, boundary):
     """Every checked field: the first value past its limit raises
     ``ConfigurationError`` naming the field; the limit itself is
-    accepted."""
+    accepted.  The engine's fields are :class:`EngineSpec`'s
+    (tests/backend/test_registry.py)."""
     with pytest.raises(ConfigurationError, match=rf"^{field} "):
         ServeConfig(**{field: bad})
     assert getattr(ServeConfig(**{field: boundary}), field) == boundary
+
+
+@pytest.mark.parametrize(
+    "flags, line",
+    [
+        (["--backend", "mp-shm", "--workers", "0"],
+         "workers must be >= 1, got 0"),
+        (["--backend", "cots-sim", "--threads", "0"],
+         "threads must be >= 1, got 0"),
+        (["--backend", "sketch-cm-vec", "--epsilon", "2"],
+         "epsilon must be in (0, 1), got 2.0"),
+        # flags the stock engine does not use are checked all the same
+        (["--workers", "-3", "--threads", "0", "--epsilon", "7"],
+         "threads must be >= 1, got 0"),
+    ],
+)
+def test_bad_engine_flag_is_refused_in_one_line(flags, line):
+    """A bad engine flag ends ``repro serve`` with one ``serve: <field>``
+    line and exit 2, before any engine is built."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", *flags],
+        capture_output=True, text=True, timeout=TIMEOUT,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"serve: {line}\n"
+    assert proc.stdout == ""
+
+
+def test_phi_at_a_tie_answers_like_space_saving():
+    """``a`` x5 and ``b`` x5 at phi = 0.5: neither count exceeds phi*N,
+    so the set and point answers agree with ``SpaceSaving.frequent``."""
+    from repro.core import SpaceSaving
+
+    stream = ["a"] * 5 + ["b"] * 5
+    library = SpaceSaving(capacity=8)
+    library.process_many(stream)
+    expected = [entry.element for entry in library.frequent(0.5)]
+
+    async def main():
+        async with StreamServer(ServeConfig(port=0)) as server:
+            client = await _Client.connect(server.port)
+            await client.request({"op": "ingest", "events": stream})
+            await client.request({"op": "flush"})
+            found = await client.request(
+                {"op": "query", "kind": "set", "phi": 0.5})
+            assert [r["element"] for r in found["results"]] == expected
+            for element in ("a", "b"):
+                point = await client.request({
+                    "op": "query", "kind": "point", "element": element,
+                    "phi": 0.5,
+                })
+                assert point["frequent"] == (element in expected)
+            await client.close()
+
+    assert expected == []
+    _run(main())
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc"
+)
+def test_a_connect_burst_fits_the_listen_backlog():
+    """With the server stopped nothing is accepted, so each connect
+    must fit in the kernel's accept queue: 300 connects each complete
+    within 0.5 s (asyncio's default backlog of 100 times out past
+    about the 101st)."""
+    burst = 300
+    with open("/proc/sys/net/core/somaxconn") as limit:
+        if int(limit.read()) < burst:
+            pytest.skip("the kernel clamps every backlog below the burst")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    socks = []
+    try:
+        line = proc.stdout.readline()
+        port = int(line.split("127.0.0.1:")[1].split()[0])
+        proc.send_signal(signal.SIGSTOP)
+        try:
+            for _ in range(burst):
+                socks.append(
+                    socket.create_connection(("127.0.0.1", port), 0.5))
+        finally:
+            for sock in socks:
+                sock.close()
+            proc.send_signal(signal.SIGCONT)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=TIMEOUT) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()

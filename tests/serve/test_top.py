@@ -10,6 +10,7 @@ import asyncio
 import io
 import json
 
+from repro.backend import EngineSpec
 from repro.obs.registry import MetricsRegistry
 from repro.serve import ServeConfig, StreamServer, render_dashboard, run_top
 from repro.serve.top import worker_beacon_rows
@@ -107,7 +108,7 @@ def test_render_dashboard_worker_pane():
 def test_run_top_once_json_against_live_server():
     async def main():
         config = ServeConfig(
-            port=0, backend="sequential", capacity=32,
+            port=0, engine=EngineSpec("sequential", capacity=32),
             batch_events=8, batch_interval=0.01,
             watchdog_interval=0.05,
         )

@@ -1,8 +1,18 @@
 """Tests for the command-line interface."""
 
+import glob
+import os
+import signal
+import subprocess
+import sys
+import time
+
 import pytest
 
-from repro.cli import main
+from repro.backend import BACKEND_NAMES, EngineSpec
+from repro.cli import _build_parser, _engine_spec, main
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def test_generate_prints_stream(capsys):
@@ -24,8 +34,7 @@ def test_count_from_file(tmp_path, capsys):
     stream_file = tmp_path / "stream.txt"
     stream_file.write_text("\n".join(["a"] * 5 + ["b"] * 2 + ["c"]))
     code = main(
-        ["count", str(stream_file), "--algorithm", "space-saving",
-         "--capacity", "10", "--top", "2"]
+        ["count", str(stream_file), "--capacity", "10", "--top", "2"]
     )
     assert code == 0
     out = capsys.readouterr().out
@@ -34,17 +43,13 @@ def test_count_from_file(tmp_path, capsys):
     assert "b\t2" in out
 
 
-@pytest.mark.parametrize(
-    "algorithm",
-    ["space-saving", "lossy-counting", "misra-gries",
-     "sticky-sampling", "count-min", "exact"],
-)
-def test_count_every_algorithm(tmp_path, capsys, algorithm):
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_count_every_engine(tmp_path, capsys, backend):
     stream_file = tmp_path / "stream.txt"
     stream_file.write_text("\n".join(["x"] * 20 + ["y"] * 5 + ["z"]))
     code = main(
-        ["count", str(stream_file), "--algorithm", algorithm,
-         "--top", "3", "--phi", "0.05"]
+        ["count", str(stream_file), "--backend", backend,
+         "--top", "3", "--phi", "0.05", "--workers", "1"]
     )
     assert code == 0
     top, frequent = capsys.readouterr().out.split(
@@ -59,23 +64,82 @@ def test_count_with_workers_uses_mp_backend(tmp_path, capsys):
     stream_file = tmp_path / "stream.txt"
     stream_file.write_text("\n".join(["a"] * 5 + ["b"] * 2 + ["c"]))
     code = main(
-        ["count", str(stream_file), "--workers", "2",
+        ["count", str(stream_file), "--backend", "mp-shm", "--workers", "2",
          "--capacity", "10", "--top", "2"]
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "8 elements processed" in out
+    assert "# mp-shm: 8 elements processed" in out
     assert "a\t5" in out
 
 
-def test_count_workers_requires_space_saving(tmp_path, capsys):
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc and /dev/shm"
+)
+def test_count_on_mp_shm_leaves_no_process_or_segment(tmp_path):
+    """``count --backend mp-shm --workers 2`` closes its engine: no
+    worker, resource tracker or shared memory segment outlives it."""
+    from tests.serve.test_server import _tagged
+
+    segments = set(glob.glob("/dev/shm/psm_*"))
+    tag = f"REPRO_COUNT_MP_TEST={os.getpid()}-{time.monotonic_ns()}"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.update([tag.split("=", 1)])
+    stream_file = tmp_path / "stream.txt"
+    stream_file.write_text("\n".join(["a"] * 5 + ["b"] * 2 + ["c"]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "count", str(stream_file),
+             "--backend", "mp-shm", "--workers", "2"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "a\t5" in proc.stdout
+        deadline = time.monotonic() + 5
+        while _tagged(tag):
+            assert time.monotonic() < deadline, _tagged(tag)
+            time.sleep(0.05)
+        assert set(glob.glob("/dev/shm/psm_*")) <= segments
+    finally:
+        for pid in _tagged(tag):
+            os.kill(pid, signal.SIGKILL)
+        for path in set(glob.glob("/dev/shm/psm_*")) - segments:
+            os.unlink(path)
+
+
+@pytest.mark.parametrize(
+    "flag, value, line",
+    [
+        ("--top", "-1", "top must be >= 1, got -1"),
+        ("--top", "0", "top must be >= 1, got 0"),
+        ("--phi", "2", "phi must be 0 (off) or in (0, 1), got 2.0"),
+        ("--phi", "-0.1", "phi must be 0 (off) or in (0, 1), got -0.1"),
+        ("--capacity", "0", "capacity must be >= 1, got 0"),
+        ("--threads", "0", "threads must be >= 1, got 0"),
+        ("--workers", "0", "workers must be >= 1, got 0"),
+        ("--epsilon", "2", "epsilon must be in (0, 1), got 2.0"),
+    ],
+)
+def test_count_refuses_a_bad_flag_in_one_line(tmp_path, capsys, flag,
+                                              value, line):
     stream_file = tmp_path / "stream.txt"
     stream_file.write_text("a\nb\n")
-    code = main(
-        ["count", str(stream_file), "--algorithm", "exact", "--workers", "2"]
-    )
-    assert code == 2
-    assert "space-saving" in capsys.readouterr().err
+    assert main(["count", str(stream_file), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"count: {line}\n"
+    assert captured.out == ""
+
+
+def test_engine_flags_default_to_engine_spec():
+    """``serve`` and ``count`` declare their engine flags once, with
+    :class:`EngineSpec`'s defaults; ``scenarios`` takes its engine
+    name, threads and workers from there too."""
+    spec = EngineSpec()
+    for command in ("serve", "count"):
+        assert _engine_spec(_build_parser().parse_args([command])) == spec
+    args = _build_parser().parse_args(["scenarios"])
+    assert (args.backend, args.threads, args.workers) == (
+        spec.name, spec.threads, spec.workers)
 
 
 def test_count_with_phi(tmp_path, capsys):

@@ -2,8 +2,10 @@
 """Validate every ``python -m repro ...`` example in the documentation.
 
 Docs rot when flags change.  This tool extracts every fenced ``bash``
-code block from README.md and docs/*.md, finds the lines that invoke
-``python -m repro ...``, and *parses* each one against the real CLI
+code block from README.md, docs/*.md, DESIGN.md, EXPERIMENTS.md and the
+verify recipe (.claude/skills/verify/SKILL.md), finds every
+``python -m repro ...`` command (each one of a pipeline or ``&&``
+chain), and *parses* each one against the real CLI
 parser (``repro.cli._build_parser``).  Parse-only validation catches
 renamed/removed subcommands, dropped flags and invalid choice values
 without running anything expensive.
@@ -68,9 +70,16 @@ class Example(NamedTuple):
     argv: List[str]      # what we hand to the parser
 
 
+#: markdown pages checked besides docs/*.md
+TOP_LEVEL_DOCS = (
+    "README.md", "DESIGN.md", "EXPERIMENTS.md",
+    ".claude/skills/verify/SKILL.md",
+)
+
+
 def default_doc_files() -> List[pathlib.Path]:
-    """README.md plus every markdown page under docs/."""
-    files = [REPO_ROOT / "README.md"]
+    """:data:`TOP_LEVEL_DOCS` plus every markdown page under docs/."""
+    files = [REPO_ROOT / name for name in TOP_LEVEL_DOCS]
     files.extend(sorted((REPO_ROOT / "docs").glob("*.md")))
     return [path for path in files if path.exists()]
 
@@ -92,33 +101,36 @@ def _logical_lines(block: str, first_line: int) -> Iterator[tuple]:
         yield pending_start, pending.strip()
 
 
-def _extract_argv(command: str) -> List[str] | None:
-    """The ``repro`` argv of a doc command line, or None if not one.
+def _extract_argvs(command: str) -> List[List[str]]:
+    """The ``repro`` argv of each command in a doc command line.
 
-    Strips leading env assignments (``PYTHONPATH=src``), comments and
-    shell redirections (``> out.json``, ``| head``) — none of those
-    affect what argparse sees.
+    Splits pipelines and chains (``generate | count -``), and strips
+    leading env assignments (``PYTHONPATH=src``), comments and shell
+    redirections (``> out.json``) — none of those affect what argparse
+    sees.
     """
     if "#" in command:
         command = command.split("#", 1)[0].strip()
-    if not command:
-        return None
     try:
         tokens = shlex.split(command)
     except ValueError:
-        return None
-    while tokens and ENV_ASSIGNMENT_RE.match(tokens[0]):
-        tokens = tokens[1:]
-    # cut at the first redirection / pipe / chain operator
-    for index, token in enumerate(tokens):
-        if token in (">", ">>", "<", "|", "&", "&&", "||", ";") or (
-            token.startswith((">", "<")) and len(token) > 1
-        ):
-            tokens = tokens[:index]
-            break
-    if tokens[:3] != ["python", "-m", "repro"]:
-        return None
-    return tokens[3:]
+        return []
+    argvs, segment = [], []
+    for token in tokens + [";"]:
+        if token not in ("|", "&", "&&", "||", ";"):
+            segment.append(token)
+            continue
+        while segment and ENV_ASSIGNMENT_RE.match(segment[0]):
+            segment = segment[1:]
+        # cut at the first redirection
+        for index, word in enumerate(segment):
+            if word.startswith((">", "<")):
+                segment = segment[:index]
+                break
+        if segment[:3] == ["python", "-m", "repro"]:
+            argvs.append(segment[3:])
+        segment = []
+    return argvs
 
 
 def extract_examples(path: pathlib.Path) -> List[Example]:
@@ -128,8 +140,7 @@ def extract_examples(path: pathlib.Path) -> List[Example]:
     for match in FENCE_RE.finditer(text):
         block_first_line = text.count("\n", 0, match.start(1)) + 1
         for line_no, command in _logical_lines(match.group(1), block_first_line):
-            argv = _extract_argv(command)
-            if argv is not None:
+            for argv in _extract_argvs(command):
                 examples.append(Example(path, line_no, command, argv))
     return examples
 
@@ -193,7 +204,8 @@ def main(argv: List[str] | None = None) -> int:
     cli = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     cli.add_argument(
         "files", nargs="*", type=pathlib.Path,
-        help="markdown files to check (default: README.md + docs/*.md)",
+        help="markdown files to check (default: README.md, DESIGN.md, "
+        "EXPERIMENTS.md, the verify recipe and docs/*.md)",
     )
     args = cli.parse_args(argv)
 

@@ -184,13 +184,14 @@ def _serve_smoke() -> dict:
     import json
 
     from repro.obs import MetricsRegistry
+    from repro.backend import EngineSpec
     from repro.serve import ServeConfig, StreamServer
 
     registry = MetricsRegistry()
 
     async def session() -> None:
         config = ServeConfig(
-            backend="sequential", capacity=32, batch_events=4,
+            engine=EngineSpec("sequential", capacity=32), batch_events=4,
             batch_interval=0.01, max_pending_batches=1,
         )
         async with StreamServer(config, metrics=registry) as server:
