@@ -26,7 +26,7 @@ import collections
 import itertools
 import math
 import operator
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.core.counters import CounterEntry, Element
 from repro.core.stream_summary import StreamSummary
@@ -35,48 +35,32 @@ from repro.obs.registry import MetricsRegistry, coerce
 from repro.obs.tracing import Tracer, coerce_tracer
 
 
-def _runs(chunk: List[Element]) -> Iterator[Tuple[Element, int]]:
-    """``(element, run length)`` for each run of equal consecutive
-    elements of ``chunk``.
-
-    The comparisons run at C speed; only the positions that continue a
-    run reach Python code, and a chunk without any costs no list.
-    """
-    repeats = list(
-        itertools.compress(
-            itertools.count(1),
-            map(operator.eq, itertools.islice(chunk, 1, None), chunk),
-        )
-    )
-    if not repeats:
-        return zip(chunk, itertools.repeat(1))
-    heads = bytearray(b"\x01") * len(chunk)  # 1 where a run starts
-    lengths = [1] * (len(chunk) - len(repeats))
-    for merged, position in enumerate(repeats):
-        heads[position] = 0
-        # the merged repeats before it shift its run's number down
-        lengths[position - 1 - merged] += 1
-    return zip(itertools.compress(chunk, heads), lengths)
-
-
 class SpaceSaving:
     """Sequential Space Saving over a :class:`StreamSummary`.
 
     Construct with an explicit counter budget (``capacity``) or an error
     bound (``epsilon``, giving ``capacity = ceil(1/epsilon)``).
 
+    Updates take one of four lanes: :meth:`process` / :meth:`process_bulk`
+    per call; :meth:`process_many`, which pre-aggregates a chunk that
+    cannot evict and otherwise runs Algorithm 1 once per element; and
+    :meth:`process_weighted` for pre-aggregated pairs.
+
     ``metrics`` optionally attaches a :class:`~repro.obs.registry.
     MetricsRegistry`; the instance then counts its Algorithm 1
     operations (``core.spacesaving.increments`` / ``inserts`` /
     ``overwrites``), consumed occurrences, and increments landing in the
-    minimum bucket.  Metrics are observation-only — enabling them never
-    changes any count (pinned by ``tests/obs/test_differential.py``).
+    minimum bucket.  An operation is one per occurrence in the
+    per-element and evicting lanes, one per distinct key or pair in the
+    pre-aggregated and weighted ones.  Metrics are observation-only —
+    enabling them never changes any count (pinned by
+    ``tests/obs/test_differential.py``).
 
     ``tracer`` optionally attaches a :class:`~repro.obs.tracing.Tracer`;
-    each of the three processing lanes then records a span per call /
-    chunk (``lane.per-element`` / ``lane.preaggregated`` /
-    ``lane.fused``), so a timeline shows which lane served which part of
-    the stream.  Tracing is observation-only too (pinned by
+    each lane then records a span per call / chunk
+    (``lane.per-element`` / ``lane.preaggregated`` / ``lane.fused`` /
+    ``lane.weighted``), so a timeline shows which lane served which part
+    of the stream.  Tracing is observation-only too (pinned by
     ``tests/obs/test_trace_differential.py``).
     """
 
@@ -215,26 +199,28 @@ class SpaceSaving:
     BATCH_CHUNK = 4096
 
     def process_many(self, elements: Iterable[Element]) -> None:
-        """Consume every element of an iterable through the batched lane.
+        """Consume every element of an iterable through the batched lanes.
 
-        The stream is consumed in chunks, each through one of two lanes
-        of the :meth:`_apply_pairs` kernel.  When the chunk cannot
-        trigger an eviction (its distinct unmonitored elements fit in
-        the free counters) it is pre-aggregated with
-        :class:`collections.Counter` and one bulk update per distinct
-        element is applied, in *last-occurrence* order — the paper's
-        §5.2.2 amortization, one Stream Summary move covering many
-        occurrences.  Otherwise (always, once the summary is full and
-        the chunk holds an unmonitored element) the chunk runs *fused*:
-        one ``(element, run)`` update per run of equal consecutive
-        elements, overwrites reusing the evicted node in place.
+        The stream is consumed in chunks, each through one of two
+        kernels.  When the chunk cannot trigger an eviction (its distinct
+        unmonitored elements fit in the free counters) it is
+        pre-aggregated with :class:`collections.Counter` and
+        :meth:`_apply_pairs` applies one bulk update per distinct
+        element, in *last-occurrence* order — the paper's §5.2.2
+        amortization, one Stream Summary move covering many occurrences.
+        Otherwise (always, once the summary is full and the chunk holds
+        an unmonitored element) :meth:`_apply_elements` runs Algorithm 1
+        once per element, overwrites reusing the evicted node in place.
 
         Both lanes are exactly equivalent to calling :meth:`process` per
         element: same estimates, errors, ``processed`` count, eviction
-        victims and ordered :meth:`entries`.  Without evictions each
+        victims and ordered :meth:`entries`; the evicting lane also
+        counts the same Algorithm 1 operations.  Without evictions each
         element reaches its final bucket at its last occurrence, so bulk
         updates applied in last-occurrence order attach in the order the
-        per-element loop does.
+        per-element loop does.  An element that raises (an unhashable
+        one) stops the call with ``processed`` and the operation
+        counters in step with what landed in the summary.
         """
         tracer = self.tracer
         iterator = iter(elements)
@@ -258,11 +244,11 @@ class SpaceSaving:
                 keys.reverse()
                 args["distinct"] = len(keys)
                 self._apply_pairs(zip(keys, map(counts.__getitem__, keys)))
+                self._m_occurrences.inc(len(chunk))
+                self._processed += len(chunk)
             else:
                 lane = "lane.fused"
-                self._apply_pairs(_runs(chunk))
-            self._m_occurrences.inc(len(chunk))
-            self._processed += len(chunk)
+                self._apply_elements(chunk)
             if tracer.enabled:
                 tracer.add_span(
                     "spacesaving", lane, "core",
@@ -283,20 +269,107 @@ class SpaceSaving:
                 return False
         return True
 
-    def _apply_pairs(self, pairs: Iterable[Tuple[Element, int]]) -> int:
-        """The update kernel: Algorithm 1 for ``(element, weight)`` pairs.
+    def _apply_elements(self, chunk: List[Element]) -> None:
+        """The evicting kernel: Algorithm 1 once per element of ``chunk``.
 
-        Each pair is exactly equivalent to ``weight`` consecutive
-        occurrences of ``element``.  A monitored element moves up by
-        ``weight``; an unmonitored one takes a free slot at ``weight``,
-        or else *overwrites in place*: the minimum bucket's head node
-        (the victim :meth:`StreamSummary.evict_min` would pick) is
-        re-keyed to the new element with error ``min``, then moved up
-        by ``weight`` like a monitored node.  The victim and every
+        A monitored element moves up by one; an unmonitored one takes a
+        free slot, or else *overwrites in place*: the minimum bucket's
+        head node (the victim :meth:`StreamSummary.evict_min` would
+        pick) is re-keyed to the new element with error ``min``, then
+        moved up by one like a monitored node.  The victim and every
         bucket's node order match evict-then-insert, so the reuse saves
         the node allocation and bucket walk without changing any answer.
 
-        Validates every weight and returns the occurrences applied; the
+        The loop keeps no per-element tally but the minimum-bucket hits
+        and the overwrites.  Every element raises the summary's total by
+        one, so the total, ``processed`` and the
+        ``core.spacesaving.occurrences`` counter rise by ``len(chunk)``,
+        and the increments are the elements that neither inserted nor
+        overwrote.  When an element raises, the elements before it have
+        landed: only then is the landed count recounted, from the
+        buckets.
+        """
+        summary = self.summary
+        nodes = summary._nodes
+        get = nodes.get
+        capacity = self.capacity
+        monitored = len(nodes)
+        total = summary._total
+        landed = len(chunk)
+        min_hits = overwrites = 0
+        try:
+            for element in chunk:
+                node = get(element)
+                if node is not None:
+                    source = node.bucket
+                    if source is summary._min:
+                        min_hits += 1
+                elif len(nodes) < capacity:
+                    summary.insert(element)
+                    continue
+                else:
+                    overwrites += 1
+                    source = summary._min
+                    node = source.head
+                    del nodes[node.element]
+                    node.element = element
+                    node.error = source.freq
+                    nodes[element] = node
+                # inlined fast lanes of StreamSummary.increment_node
+                target_freq = source.freq + 1
+                nxt = source.next
+                if source.size == 1:
+                    if nxt is None or nxt.freq > target_freq:
+                        # alone and nothing in the way: bump in place
+                        source.freq = target_freq
+                        continue
+                elif nxt is not None and nxt.freq == target_freq:
+                    # move to the tail of the next bucket; the source
+                    # keeps at least one node
+                    before = node.prev
+                    after = node.next
+                    if before is None:
+                        source.head = after
+                    else:
+                        before.next = after
+                    if after is None:
+                        source.tail = before
+                    else:
+                        after.prev = before
+                    source.size -= 1
+                    tail = nxt.tail
+                    tail.next = node
+                    node.prev = tail
+                    node.next = None
+                    node.bucket = nxt
+                    nxt.tail = node
+                    nxt.size += 1
+                    continue
+                summary.increment_node(node)
+        except BaseException:
+            landed = sum(
+                bucket.freq * bucket.size for bucket in summary.buckets()
+            ) - total
+            raise
+        finally:
+            summary._total = total + landed
+            inserts = len(nodes) - monitored
+            self._m_increments.inc(landed - inserts - overwrites)
+            self._m_inserts.inc(inserts)
+            self._m_overwrites.inc(overwrites)
+            self._m_min_hits.inc(min_hits)
+            self._m_occurrences.inc(landed)
+            self._processed += landed
+
+    def _apply_pairs(self, pairs: Iterable[Tuple[Element, int]]) -> None:
+        """The weighted kernel: Algorithm 1 for ``(element, weight)``
+        pairs whose weights the caller has checked to be >= 1.
+
+        Each pair is exactly equivalent to ``weight`` consecutive
+        occurrences of ``element``: a monitored element moves up by
+        ``weight``; an unmonitored one takes a free slot at ``weight``,
+        or else overwrites the minimum in place (as in
+        :meth:`_apply_elements`) and moves up by ``weight``.  The
         ``core.spacesaving.occurrences`` counter and ``processed`` are
         the caller's to update.
         """
@@ -305,16 +378,11 @@ class SpaceSaving:
         get = nodes.get
         capacity = self.capacity
         monitored = len(nodes)
-        # operation counts and the summary's total are kept in locals and
-        # published once per call (also when a bad weight aborts it)
-        total = moved = increments = min_hits = overwrites = 0
+        # operation counts and the fast lanes' share of the summary's
+        # total are kept in locals and published once per call
+        moved = increments = min_hits = overwrites = 0
         try:
             for element, weight in pairs:
-                if weight < 1:
-                    raise ConfigurationError(
-                        f"weight must be >= 1, got {weight} for {element!r}"
-                    )
-                total += weight
                 node = get(element)
                 if node is not None:
                     source = node.bucket
@@ -371,7 +439,6 @@ class SpaceSaving:
             self._m_inserts.inc(len(nodes) - monitored)
             self._m_overwrites.inc(overwrites)
             self._m_min_hits.inc(min_hits)
-        return total
 
     def process_weighted(
         self, pairs: Iterable[Tuple[Element, int]]
@@ -387,15 +454,29 @@ class SpaceSaving:
         transport, whose parent pre-aggregates every dispatch chunk into
         distinct pairs — the loop runs once per *distinct* element, not
         once per occurrence.  A weight below 1 raises
-        :class:`~repro.errors.ConfigurationError`.
+        :class:`~repro.errors.ConfigurationError` naming the first bad
+        pair, before any pair lands.  An element that raises (an
+        unhashable one) leaves the pairs before it counted, ``processed``
+        included.
         """
         tracer = self.tracer
         if tracer.enabled:
             trace_start = tracer.now()
-            pairs = list(pairs)
-        total = self._apply_pairs(pairs)
-        self._m_occurrences.inc(total)
-        self._processed += total
+        pairs = list(pairs)
+        if pairs and min(pairs, key=operator.itemgetter(1))[1] < 1:
+            element, weight = next(pair for pair in pairs if pair[1] < 1)
+            raise ConfigurationError(
+                f"weight must be >= 1, got {weight} for {element!r}"
+            )
+        before = self.summary._total
+        try:
+            self._apply_pairs(pairs)
+        finally:
+            # the occurrences that landed, also when an unhashable
+            # element stops the pairs part-way
+            total = self.summary._total - before
+            self._m_occurrences.inc(total)
+            self._processed += total
         if tracer.enabled:
             tracer.add_span(
                 "spacesaving", "lane.weighted", "core",

@@ -5,6 +5,7 @@ import pytest
 from repro.core.counters import CounterEntry, ExactCounter
 from repro.core.space_saving import SpaceSaving
 from repro.errors import ConfigurationError
+from repro.obs.registry import MetricsRegistry
 
 
 def test_construct_with_capacity_or_epsilon():
@@ -136,6 +137,43 @@ def test_bulk_equals_repeated_singles():
 def test_process_bulk_rejects_nonpositive():
     with pytest.raises(ConfigurationError):
         SpaceSaving(capacity=4).process_bulk("a", 0)
+
+
+def test_process_weighted_checks_every_weight_before_any_pair_lands():
+    counter = SpaceSaving(capacity=4)
+    with pytest.raises(ConfigurationError, match="got 0 for 'b'"):
+        counter.process_weighted([("a", 2), ("b", 0), ("c", -1)])
+    assert counter.estimate("a") == 0
+    assert counter.summary.total_count == counter.processed == 0
+
+
+def _accounting(counter, registry):
+    occurrences = registry.snapshot()["counters"].get(
+        "core.spacesaving.occurrences", 0
+    )
+    return counter.processed, occurrences, counter.summary.total_count
+
+
+def test_process_many_counts_what_landed_before_an_element_raises():
+    """The elements before an unhashable one land; ``processed``, the
+    occurrences counter and the summary's total say so alike."""
+    registry = MetricsRegistry()
+    counter = SpaceSaving(capacity=2, metrics=registry)
+    counter.process_many(["a", "b"])
+    with pytest.raises(TypeError):
+        counter.process_many(["c", "a", ["x"], "d"])
+    assert _accounting(counter, registry) == (4, 4, 4)
+    counter.summary.check_invariants()
+    assert "d" not in counter
+
+
+def test_process_weighted_counts_what_landed_before_an_element_raises():
+    registry = MetricsRegistry()
+    counter = SpaceSaving(capacity=2, metrics=registry)
+    with pytest.raises(TypeError):
+        counter.process_weighted([("a", 2), (["x"], 1), ("b", 1)])
+    assert _accounting(counter, registry) == (2, 2, 2)
+    counter.summary.check_invariants()
 
 
 def test_frequent_validates_phi():

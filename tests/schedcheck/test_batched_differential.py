@@ -13,12 +13,13 @@ import pytest
 
 from repro.core.space_saving import SpaceSaving
 from repro.obs.registry import MetricsRegistry
+from repro.obs.tracing import Tracer
 from repro.schedcheck.adapters import HarnessParams, get_scheme
 from repro.schedcheck.auditor import EXACT, audit_counts, audit_differential
 from repro.schedcheck.explorer import ExploreConfig, run_schedule
 from repro.schedcheck.perturb import SchedulePerturber, jittered_costs
 from repro.simcore.engine import Engine
-from repro.workloads import hot_set_churn_stream, zipf_stream
+from repro.workloads import bursty_stream, hot_set_churn_stream, zipf_stream
 
 _CONFIG = ExploreConfig(
     schedules=1, seed=0, length=500, alphabet=100, threads=4, capacity=32,
@@ -205,26 +206,49 @@ def test_preaggregated_lane_inserts_the_first_occurrence():
     assert type(fast.entries()[0].element) is float
 
 
-def test_fused_lane_counts_operations_like_the_loop():
-    """Without equal neighbours every run is one element, so the fused
-    lane's Algorithm 1 operation counters match the per-element loop's
-    (the in-place overwrite counts as one overwrite, not an evict plus
-    an insert)."""
-    raw = hot_set_churn_stream(
+def _churn():
+    return hot_set_churn_stream(
         10_000, alphabet=4_000, hot_fraction=0.3, rotate_every=800, seed=2
     )
-    stream = [element for element, _ in itertools.groupby(raw)]
-    assert len(stream) < len(raw)  # the stream did have runs to drop
-    loop_metrics, fast_metrics = MetricsRegistry(), MetricsRegistry()
-    loop = _loop(stream, 24, metrics=loop_metrics)
-    fast = SpaceSaving(capacity=24, metrics=fast_metrics)
-    fast.process_many(stream)
+
+
+#: (name, stream, capacity): overwrite-heavy churn with and without its
+#: equal neighbours, bursts of one hot key, and count-int's zipf shape
+_OPERATION_CASES = [
+    ("churn-raw", _churn(), 24),
+    ("churn-no-runs", [e for e, _ in itertools.groupby(_churn())], 24),
+    ("bursty", bursty_stream(20_000, 300, burst_length=250, seed=5), 32),
+    ("zipf", zipf_stream(40_000, 5_000, 1.1, seed=1), 256),
+]
+
+
+def test_fused_lane_counts_operations_like_the_loop():
+    """The evicting lane runs Algorithm 1 once per element, equal
+    neighbours included, so its operation counters match the per-element
+    loop's (the in-place overwrite counts as one overwrite, not an evict
+    plus an insert), whole or in serve-sized 1000-event batches."""
     names = ("increments", "inserts", "overwrites", "min_bucket_hits",
              "occurrences")
     counters = lambda registry: {  # noqa: E731
         name: registry.snapshot()["counters"][f"core.spacesaving.{name}"]
         for name in names
     }
-    assert counters(fast_metrics) == counters(loop_metrics)
-    assert counters(fast_metrics)["overwrites"] > len(stream) // 2
-    assert _ordered(fast) == _ordered(loop)
+    for case, stream, capacity in _OPERATION_CASES:
+        loop_metrics = MetricsRegistry()
+        loop = _loop(stream, capacity, metrics=loop_metrics)
+        for size in (len(stream), 1000):
+            where = f"{case}, batches of {size}"
+            fast_metrics, tracer = MetricsRegistry(), Tracer()
+            fast = SpaceSaving(
+                capacity=capacity, metrics=fast_metrics, tracer=tracer
+            )
+            for start in range(0, len(stream), size):
+                fast.process_many(stream[start:start + size])
+            # every chunk held an unmonitored key: none was pre-aggregated
+            lanes = {record.name for record in tracer.records()}
+            assert lanes == {"lane.fused"}, where
+            assert counters(fast_metrics) == counters(loop_metrics), where
+            assert counters(fast_metrics)["overwrites"] > 0, where
+            assert fast.processed == loop.processed == len(stream), where
+            assert _ordered(fast) == _ordered(loop), where
+            fast.summary.check_invariants()
