@@ -14,8 +14,8 @@ Three suites (``--suite``):
     lane) versus the batched fast lane (``process_many``).  Both consume
     the identical pinned zipf stream; the harness asserts the final
     summaries are identical (same (element, count, error) triples,
-    processed count and ``core.spacesaving.*`` operation counters) and
-    reports the speedup.
+    processed count and the occurrences, inserts and overwrites
+    operation counters) and reports the speedup.
   * **Simulated schemes** — every parallelization design of the paper
     run on the simulated CMP: sequential, shared (mutex and spin),
     independent (serial merge), hybrid, CoTS, and CoTS with the
@@ -277,35 +277,6 @@ def _canonical_state(counter: SpaceSaving) -> List[tuple]:
     )
 
 
-def _same_operations(loop: Dict[str, Any], batched: Dict[str, Any]) -> bool:
-    """Whether two hot-path runs recorded the same ``core.spacesaving.*``
-    counters.
-
-    The evicting lane of ``process_many`` counts one Algorithm 1
-    operation per occurrence, as the loop does; a pre-aggregated chunk
-    counts one increment (and minimum-bucket hit) per distinct key.
-    When the batched run's increments fall short of the occurrences that
-    neither inserted nor overwrote, some chunk was pre-aggregated, and
-    only the three counters every lane counts alike are compared.
-    """
-    loop_ops, fast_ops = (
-        {
-            name.rpartition(".")[2]: value
-            for name, value in holder["metrics"]["counters"].items()
-            if name.startswith("core.spacesaving.")
-        }
-        for holder in (loop, batched)
-    )
-    alike = ("occurrences", "inserts", "overwrites")
-    one_per_occurrence = (
-        fast_ops["occurrences"] - fast_ops["inserts"] - fast_ops["overwrites"]
-    )
-    if fast_ops["increments"] != one_per_occurrence:
-        loop_ops = {name: loop_ops[name] for name in alike}
-        fast_ops = {name: fast_ops[name] for name in alike}
-    return loop_ops == fast_ops
-
-
 def _best_of(repeats: int, fn) -> float:
     """Minimum wall-clock seconds over ``repeats`` runs of ``fn()``."""
     best = float("inf")
@@ -360,7 +331,15 @@ def _bench_hot_path(params: Dict[str, Any]) -> List[Dict[str, Any]]:
         _canonical_state(base) == _canonical_state(fast)
         and base.entries() == fast.entries()
         and base.processed == fast.processed
-        and _same_operations(per_element_holder, batched_holder)
+        # the operation counters every lane counts alike (a pre-aggregated
+        # chunk counts increments and minimum-bucket hits per distinct key)
+        and all(
+            per_element_holder["metrics"]["counters"][name]
+            == batched_holder["metrics"]["counters"][name]
+            for name in ("core.spacesaving.occurrences",
+                         "core.spacesaving.inserts",
+                         "core.spacesaving.overwrites")
+        )
     )
     length = len(stream)
     return [

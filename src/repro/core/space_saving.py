@@ -472,8 +472,7 @@ class SpaceSaving:
         try:
             self._apply_pairs(pairs)
         finally:
-            # the occurrences that landed, also when an unhashable
-            # element stops the pairs part-way
+            # what landed, also when an unhashable element stops the pairs
             total = self.summary._total - before
             self._m_occurrences.inc(total)
             self._processed += total

@@ -212,13 +212,14 @@ def _churn():
     )
 
 
-#: (name, stream, capacity): overwrite-heavy churn with and without its
-#: equal neighbours, bursts of one hot key, and count-int's zipf shape
+#: (name, stream, capacity, overwrite share the loop must exceed):
+#: overwrite-heavy churn with and without its equal neighbours, bursts
+#: of one hot key, and count-int's zipf shape
 _OPERATION_CASES = [
-    ("churn-raw", _churn(), 24),
-    ("churn-no-runs", [e for e, _ in itertools.groupby(_churn())], 24),
-    ("bursty", bursty_stream(20_000, 300, burst_length=250, seed=5), 32),
-    ("zipf", zipf_stream(40_000, 5_000, 1.1, seed=1), 256),
+    ("churn-raw", _churn(), 24, 0.5),
+    ("churn-no-runs", [e for e, _ in itertools.groupby(_churn())], 24, 0.5),
+    ("bursty", bursty_stream(20_000, 300, burst_length=250, seed=5), 32, 0),
+    ("zipf", zipf_stream(40_000, 5_000, 1.1, seed=1), 256, 0),
 ]
 
 
@@ -233,9 +234,14 @@ def test_fused_lane_counts_operations_like_the_loop():
         name: registry.snapshot()["counters"][f"core.spacesaving.{name}"]
         for name in names
     }
-    for case, stream, capacity in _OPERATION_CASES:
+    lengths = {case: len(stream) for case, stream, _, _ in _OPERATION_CASES}
+    # the raw churn stream did have equal neighbours to keep
+    assert lengths["churn-no-runs"] < lengths["churn-raw"]
+    for case, stream, capacity, overwrite_share in _OPERATION_CASES:
         loop_metrics = MetricsRegistry()
         loop = _loop(stream, capacity, metrics=loop_metrics)
+        overwrites = counters(loop_metrics)["overwrites"]
+        assert overwrites > overwrite_share * len(stream), case
         for size in (len(stream), 1000):
             where = f"{case}, batches of {size}"
             fast_metrics, tracer = MetricsRegistry(), Tracer()
@@ -248,7 +254,6 @@ def test_fused_lane_counts_operations_like_the_loop():
             lanes = {record.name for record in tracer.records()}
             assert lanes == {"lane.fused"}, where
             assert counters(fast_metrics) == counters(loop_metrics), where
-            assert counters(fast_metrics)["overwrites"] > 0, where
             assert fast.processed == loop.processed == len(stream), where
             assert _ordered(fast) == _ordered(loop), where
             fast.summary.check_invariants()
