@@ -45,9 +45,16 @@ from repro.obs.registry import TIME_BUCKETS, coerce
 
 
 class _Instrumented:
-    """Shared metering + life-cycle plumbing for every adapter."""
+    """Shared metering + life-cycle plumbing for every adapter.
+
+    ``blocking`` says whether a call can wait on other processes or
+    replay the stream: the serve tier runs a blocking engine's calls on
+    a backend thread of their own and every other engine's on its event
+    loop, where a thread would only take turns with it on the GIL.
+    """
 
     name = "abstract"
+    blocking = False
 
     def __init__(self, metrics=None) -> None:
         self.metrics = coerce(metrics)
@@ -117,6 +124,7 @@ class CotsSimBackend(_Instrumented):
     """
 
     name = "cots-sim"
+    blocking = True
 
     def __init__(self, capacity: int, threads: int, metrics=None) -> None:
         super().__init__(metrics)
@@ -158,6 +166,8 @@ class CotsSimBackend(_Instrumented):
 
 class MPBackend(_Instrumented):
     """Multiprocess pools (sharded and one-table) as backends."""
+
+    blocking = True
 
     def __init__(self, pool_cls, config, name: str, metrics=None) -> None:
         super().__init__(metrics)

@@ -18,6 +18,11 @@ layers above them need no per-engine glue:
 ``close()``
     Release processes/shm/threads.  Idempotent; a closed backend only
     rejects further ``ingest``.
+``blocking``
+    True when a call can wait on other processes or replay the stream
+    (``cots-sim``, the ``mp-*`` pools): the serve tier then gives the
+    engine a backend thread of its own and runs every other engine's
+    calls on its event loop.
 
 The contract all implementations share (pinned by the conformance
 tests): estimates upper-bound true counts and exceed them by at most
@@ -96,6 +101,7 @@ class Backend(Protocol):
     """Structural protocol — adapters need not inherit anything."""
 
     name: str
+    blocking: bool
 
     def ingest(self, batch: Sequence[Element]) -> int:
         """Feed one batch; returns the number of elements ingested."""

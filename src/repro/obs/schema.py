@@ -195,13 +195,19 @@ METRIC_SPECS: Dict[str, MetricSpec] = {
         _spec("serve.ingest.rejected", "counter", "elements", "serve",
               "events refused with the backpressure error code (the "
               "client retries; never silently dropped)"),
+        _spec("serve.ingest.lost", "counter", "elements", "serve",
+              "acked events dropped by failed flushes: never counted, "
+              "so accepted_events = processed + lost_events once the "
+              "queue drains (stats reports the same lost_events)",
+              worse="up", tolerance=0.0),
         _spec("serve.batch.fill", "histogram", "elements", "serve",
               "micro-batch sizes handed to the flusher (full batches at "
               "batch_events; partial batches when the flusher goes "
               "idle, and from flush)"),
         _spec("serve.batch.flush_seconds", "histogram", "seconds", "serve",
-              "backend.ingest time of one micro-batch, timed on the "
-              "backend thread (executor wait and the snapshot that "
+              "backend.ingest time of one micro-batch, timed around "
+              "the call itself on the loop, or on a blocking engine's "
+              "backend thread (the hand-off wait and the snapshot that "
               "follows are excluded)"),
         _spec("serve.batch.flush_failures", "counter", "batches", "serve",
               "micro-batches dropped because backend.ingest raised "
@@ -213,11 +219,11 @@ METRIC_SPECS: Dict[str, MetricSpec] = {
               "max_pending_batches — the backpressure budget)"),
         _spec("serve.snapshot.refreshes", "counter", "refreshes", "serve",
               "query-view rebuilds: after flushed batches (skipped "
-              "while snapshots would take over a tenth of the backend "
-              "thread), on ticker catch-up, start and flush"),
+              "while snapshots would take over a tenth of the thread "
+              "that runs them), on ticker catch-up, start and flush"),
         _spec("serve.snapshot.seconds", "histogram", "seconds", "serve",
               "backend.snapshot + index build of one query view, timed "
-              "on the backend thread"),
+              "on the loop, or on a blocking engine's backend thread"),
         _spec("serve.snapshot.staleness_seconds", "histogram", "seconds",
               "serve",
               "view age reported with each query answer (an idle "

@@ -7,22 +7,30 @@ waits on a reader (the Gulisano-style snapshot-read design):
 
 **Ingest plane.**  Batches move onto a bounded :class:`asyncio.Queue`
 (``max_pending_batches`` deep — the backpressure budget) that a single
-flusher task drains into ``backend.ingest`` inside a one-thread
-executor, so the event loop never blocks on the counting core and
-backend access stays serialized.  Batching is group commit: a frame
-that finds the flusher idle and the queue empty goes onto the queue at
-once as a partial batch; otherwise it waits in a pending buffer, which
-cuts full micro-batches of ``batch_events`` elements as it fills and
-hands its tail to the flusher as soon as the flusher drains the queue.
-So batches grow only with the backlog of a busy flusher, never with a
+flusher task drains into ``backend.ingest``.  An in-process engine
+counts on the event loop itself: under the GIL a second thread would
+only take turns with the loop, and handing each batch to it costs a
+thread wake-up per batch.  A *blocking* engine (one whose calls wait
+on worker processes or replay the stream, ``backend.blocking``) keeps
+one backend thread of its own, so the loop goes on answering queries
+while it waits.  On the loop the flusher yields after every batch, so
+a query behind a backlog waits for at most two batches.  Either way
+every backend call goes through :meth:`StreamServer._call`, so calls
+stay serialized.  Batching is group commit: a frame that finds the
+flusher idle and the queue empty goes onto the queue at once as a
+partial batch; otherwise it waits in a pending buffer, which cuts full
+micro-batches of ``batch_events`` elements as it fills and hands its
+tail to the flusher as soon as the flusher drains the queue.  So
+batches grow only with the backlog of a busy flusher, never with a
 timer while it idles.
 
 **Query plane.**  Queries are answered from an immutable
 :class:`~repro.backend.base.Snapshot` — never from live backend state —
 so a million concurrent readers cost the ingest path nothing.  The
-flusher builds that view in the same executor job as the batch it
+flusher builds that view in the same backend call as the batch it
 reflects, right after ``backend.ingest``, and the loop installs it.  A
-snapshot may take at most about a tenth of the backend thread: the
+snapshot may take at most about a tenth of whichever thread runs the
+backend (the loop, or the backend thread of a blocking engine): the
 flusher skips it while the last one ended less than
 :data:`SNAPSHOT_GAP` times the shortest of the last three snapshot
 durations ago, and once it is due a ``batch_interval`` ticker catches
@@ -105,8 +113,8 @@ LISTEN_BACKLOG = 4096
 #: after a batch, skip the snapshot while the last one ended less than
 #: this many times the shortest of the last three snapshot durations
 #: ago: snapshots that are slow every time (mp-shm's merge, cots-sim's
-#: replay) then take at most a tenth of the backend thread, and a
-#: one-off stall does not widen the gap
+#: replay) then take at most a tenth of the thread that runs them, and
+#: a one-off stall does not widen the gap
 SNAPSHOT_GAP = 9.0
 
 
@@ -229,10 +237,9 @@ class StreamServer:
         self.tracer = coerce_tracer(tracer)
         self._backend = None
         self._server: Optional[asyncio.AbstractServer] = None
-        # one thread: backend calls are serialized *and* off the loop
-        self._executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="serve-backend"
-        )
+        #: a blocking engine's one backend thread (None: backend calls
+        #: run on the loop); see :meth:`_call`
+        self._executor: Optional[concurrent.futures.Executor] = None
         self._pending: List[Any] = []
         self._queue: asyncio.Queue = asyncio.Queue(
             maxsize=config.max_pending_batches
@@ -254,6 +261,7 @@ class StreamServer:
         self._m_events = m.counter("serve.ingest.events")
         self._m_frames = m.counter("serve.ingest.frames")
         self._m_rejected = m.counter("serve.ingest.rejected")
+        self._m_lost = m.counter("serve.ingest.lost")
         # powers of two up to a full batch, so full batches stay out of
         # the overflow bucket
         fill_buckets = tuple(
@@ -297,7 +305,7 @@ class StreamServer:
         self._lost = 0                  #: events dropped by failed flushes
         #: perf_counter time the next post-batch snapshot is due, and
         #: the last three snapshot durations that set it (both written
-        #: on the backend thread)
+        #: by the backend calls)
         self._snapshot_due = 0.0
         self._snapshot_costs: Deque[float] = collections.deque(maxlen=3)
         # -- live telemetry plane ---------------------------------------
@@ -323,15 +331,16 @@ class StreamServer:
         Raises :class:`~repro.errors.ListenError` when a port cannot be
         bound; the backend is built by then, so call :meth:`stop`.
         """
-        loop = asyncio.get_running_loop()
         cfg = self.config
-        self._backend = await loop.run_in_executor(
-            self._executor,
-            lambda: create_backend(
-                cfg.engine,
-                metrics=self.metrics if self.metrics.enabled else None,
-            ),
+        # built on the loop: nothing is listening yet
+        self._backend = create_backend(
+            cfg.engine,
+            metrics=self.metrics if self.metrics.enabled else None,
         )
+        if self._backend.blocking:
+            self._executor = concurrent.futures.ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="serve-backend"
+            )
         await self._refresh_view()
         self._server = await self._listen(
             self._handle_connection, cfg.port, limit=cfg.max_frame_bytes
@@ -425,11 +434,11 @@ class StreamServer:
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
-        loop = asyncio.get_running_loop()
         backend = self._backend
         if backend is not None:
-            await loop.run_in_executor(self._executor, backend.close)
-        self._executor.shutdown(wait=True)
+            await self._call(backend.close)
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
 
     async def __aenter__(self) -> "StreamServer":
         try:
@@ -446,10 +455,19 @@ class StreamServer:
     # ------------------------------------------------------------------
     # Service tasks
     # ------------------------------------------------------------------
+    async def _call(self, fn, *args):
+        """Run one backend call: on the loop, or on a blocking engine's
+        backend thread.  The only way the server reaches the backend,
+        so its calls stay serialized on either path."""
+        if self._executor is None:
+            return fn(*args)
+        return await asyncio.get_running_loop().run_in_executor(
+            self._executor, fn, *args
+        )
+
     async def _flusher(self) -> None:
         """Drain micro-batches into the backend (the only ingest path) and
         install the query view each one leaves behind."""
-        loop = asyncio.get_running_loop()
         fault = self.config.fault
         while True:
             batch = await self._queue.get()
@@ -463,8 +481,8 @@ class StreamServer:
                         # odd ones land, so the server keeps making
                         # progress)
                         raise RuntimeError("injected flush-failure fault")
-                start, ingested, built = await loop.run_in_executor(
-                    self._executor, self._ingest_then_snapshot, batch
+                start, ingested, built = await self._call(
+                    self._ingest_then_snapshot, batch
                 )
                 if batch:
                     self._m_flush_seconds.observe(ingested - start)
@@ -496,9 +514,13 @@ class StreamServer:
                     # group commit: what piled up meanwhile goes next
                     self._flush_pending(partial=True)
                 self._m_queue_depth.set(self._queue.qsize())
+            # counting on the loop, a backlog would otherwise drain in
+            # one turn (get() does not yield while the queue holds a
+            # batch): let the frames that arrived meanwhile in first
+            await asyncio.sleep(0)
 
     def _ingest_then_snapshot(self, batch: List[Any]):
-        """Backend thread: ingest ``batch``, then snapshot if one is due.
+        """One backend call: ingest ``batch``, then snapshot if one is due.
 
         Returns ``(ingest start, ingest end, built)`` where ``built`` is
         :meth:`_snapshot`'s result, or None when the snapshot was not
@@ -523,7 +545,7 @@ class StreamServer:
             return start, ingested, None
 
     def _snapshot(self) -> Tuple[_View, float, float]:
-        """Backend thread: build one query view, timed, and push the next
+        """Backend call: build one query view, timed, and push the next
         post-batch snapshot ``SNAPSHOT_GAP`` times the shortest of the
         last three durations out."""
         start = time.perf_counter()
@@ -540,9 +562,7 @@ class StreamServer:
 
     async def _refresh_view(self) -> None:
         """Snapshot now and install it (the read barrier of start/flush)."""
-        loop = asyncio.get_running_loop()
-        built = await loop.run_in_executor(self._executor, self._snapshot)
-        self._install(*built)
+        self._install(*await self._call(self._snapshot))
 
     def _install(self, view: _View, start: float, end: float) -> None:
         """Make ``view`` the query view: meter it, observe the freshness
@@ -564,6 +584,7 @@ class StreamServer:
         ``processed`` will never count those events."""
         first = self._processed
         self._lost += dropped
+        self._m_lost.inc(dropped)
         self._stamps = collections.deque(
             (position if position <= first else position - dropped, acked)
             for position, acked in self._stamps
@@ -587,11 +608,10 @@ class StreamServer:
     # ------------------------------------------------------------------
     async def _watchdog_loop(self) -> None:
         """Sample the registry, evaluate SLO rules, emit alert events."""
-        loop = asyncio.get_running_loop()
         while True:
             await asyncio.sleep(self.config.watchdog_interval)
             try:
-                await self._watchdog_tick(loop)
+                await self._watchdog_tick()
             except asyncio.CancelledError:
                 raise
             except Exception as exc:  # noqa: BLE001 - telemetry must not die
@@ -601,7 +621,7 @@ class StreamServer:
                     file=sys.stderr, flush=True,
                 )
 
-    async def _watchdog_tick(self, loop: asyncio.AbstractEventLoop) -> None:
+    async def _watchdog_tick(self) -> None:
         # staleness gauge: how long the oldest acked frame has waited to
         # become visible (0 when every acked frame is) — an idle
         # server's old-but-complete view is not stale in the SLO sense
@@ -612,9 +632,7 @@ class StreamServer:
         telemetry = getattr(self._backend, "telemetry", None)
         if telemetry is not None:
             try:
-                self._beacons = await loop.run_in_executor(
-                    self._executor, telemetry
-                )
+                self._beacons = await self._call(telemetry)
             except Exception:  # noqa: BLE001 - beacons are advisory
                 pass
         self._live.sample(self._full_snapshot(), time.monotonic())

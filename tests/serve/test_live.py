@@ -290,6 +290,35 @@ def test_failed_flush_releases_its_freshness_stamps():
     _run(main())
 
 
+def test_lost_events_are_metered_and_accounted():
+    """``serve.ingest.lost`` counts what failed flushes dropped, the
+    same figure ``stats`` reports as ``lost_events``, and every acked
+    event is either counted or lost."""
+    async def main():
+        metrics = MetricsRegistry()
+        async with StreamServer(
+            _config(batch_events=4, fault="flush-failure"), metrics=metrics,
+        ) as server:
+            client = await _Client.connect(server.port)
+            for _ in range(5):
+                reply = await client.request(
+                    {"op": "ingest", "events": ["k"] * 6}
+                )
+                assert reply["ok"], reply
+            flushed = await client.request({"op": "flush"})
+            assert flushed["ok"], flushed
+            stats = (await client.request({"op": "stats"}))["stats"]
+            await client.close()
+        lost = metrics.snapshot()["counters"]["serve.ingest.lost"]
+        assert lost == stats["lost_events"] > 0
+        assert stats["processed"] > 0
+        assert stats["accepted_events"] == (
+            stats["processed"] + stats["lost_events"]
+        )
+
+    _run(main())
+
+
 def test_watchdog_silent_on_clean_run():
     async def main():
         async with StreamServer(

@@ -20,6 +20,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -267,47 +268,233 @@ def test_idle_flusher_makes_a_partial_frame_visible_without_the_ticker():
     _run(main())
 
 
+async def _coalesce_busy_flusher(engine, pipelined):
+    """Send 20 five-event frames to a server whose ``backend.ingest``
+    takes 20 ms, then check that they left in fewer, full-size batches,
+    each event counted once and each frame's freshness observed once.
+
+    On the loop path the slow ingest holds the loop, so a closed-loop
+    client never has a frame waiting while it runs: ``pipelined``
+    writes every frame before reading any ack, so they pile up behind
+    the slow flush.  On a blocking engine's backend thread the loop
+    keeps acking, so closed-loop frames pile up by themselves."""
+    metrics = MetricsRegistry()
+    config = ServeConfig(
+        port=0, engine=EngineSpec(engine, capacity=64),
+        batch_events=16,
+    )
+    async with StreamServer(config, metrics=metrics) as server:
+        real_ingest = server._backend.ingest
+
+        def slow_ingest(batch):
+            time.sleep(0.02)
+            real_ingest(batch)
+
+        server._backend.ingest = slow_ingest
+        client = await _Client.connect(server.port)
+        frames = 20
+        requests = [
+            {"op": "ingest", "events": ["f%d-%d" % (i, j) for j in range(5)]}
+            for i in range(frames)
+        ]
+        if pipelined:
+            client.writer.write(b"".join(
+                json.dumps(request).encode() + b"\n" for request in requests
+            ))
+            await client.writer.drain()
+            replies = [await client.read_frame() for _ in requests]
+        else:
+            replies = [await client.request(request) for request in requests]
+        for reply in replies:
+            assert reply["ok"], reply
+        flushed = await client.request({"op": "flush"})
+        stats = (await client.request({"op": "stats"}))["stats"]
+        assert flushed["processed"] == stats["accepted_events"] == 100
+        await client.close()
+    histograms = metrics.snapshot()["histograms"]
+    assert histograms["serve.batch.flush_seconds"]["count"] < frames
+    fill = histograms["serve.batch.fill"]
+    assert fill["buckets"][-1] == config.batch_events
+    assert fill["counts"][-1] == 0          # nothing over batch_events
+    assert fill["sum"] == 100
+    freshness = histograms["serve.freshness.ack_to_visible_seconds"]
+    assert freshness["count"] == frames
+
+
 def test_busy_flusher_coalesces_frames_and_counts_exactly_once():
     """While the flusher is busy, frames pile up and leave as one batch
     (cut at ``batch_events``) when it frees up: fewer flushes than
     frames, no batch over the size, every event counted once and every
-    acked frame's freshness observed once."""
+    acked frame's freshness observed once.  ``sequential`` counts on
+    the loop, so the frames arrive pipelined."""
+    _run(_coalesce_busy_flusher("sequential", pipelined=True))
+
+
+def test_busy_backend_thread_coalesces_closed_loop_frames():
+    """The same on a blocking engine's backend thread, where a
+    closed-loop client's frames pile up while the thread counts."""
+    _run(_coalesce_busy_flusher("cots-sim", pipelined=False))
+
+
+# ----------------------------------------------------------------------
+# Threading: in-process engines count on the loop, blocking engines on
+# one backend thread
+# ----------------------------------------------------------------------
+def _backend_threads():
+    return [
+        thread.name for thread in threading.enumerate()
+        if thread.name.startswith("serve-backend")
+    ]
+
+
+def _record_threads(backend, names):
+    """Wrap ``backend``'s calls to note the thread each one ran on."""
+    for method in ("ingest", "snapshot", "close"):
+        real = getattr(backend, method)
+
+        def noting(*args, _real=real, _method=method):
+            names.append((_method, threading.current_thread().name))
+            return _real(*args)
+
+        setattr(backend, method, noting)
+
+
+def test_blocking_flag_marks_the_engines_that_wait():
+    """Only the engines whose calls wait on other processes or replay
+    the stream ask for a backend thread."""
+    from repro.backend.adapters import (
+        CotsSimBackend, MPBackend, SequentialBackend,
+    )
+    from repro.backend.sketch import SketchCMVecBackend
+
+    assert CotsSimBackend.blocking and MPBackend.blocking
+    assert not SequentialBackend.blocking
+    assert not SketchCMVecBackend.blocking
+
+
+@pytest.mark.parametrize("engine", ["sequential", "sketch-cm-vec"])
+def test_in_process_engine_counts_on_the_loop(engine):
+    """An in-process engine gets no executor and no ``serve-backend``
+    thread: every backend call runs on the event loop's thread."""
+    calls = []
+
     async def main():
-        metrics = MetricsRegistry()
+        loop_thread = threading.current_thread().name
         config = ServeConfig(
-            port=0, engine=EngineSpec("sequential", capacity=64),
-            batch_events=16,
+            port=0, engine=EngineSpec(engine, capacity=32), batch_events=8,
         )
-        async with StreamServer(config, metrics=metrics) as server:
+        async with StreamServer(config) as server:
+            assert server._executor is None
+            _record_threads(server._backend, calls)
+            client = await _Client.connect(server.port)
+            for i in range(4):
+                reply = await client.request(
+                    {"op": "ingest", "events": [i] * 8}
+                )
+                assert reply["ok"], reply
+            flushed = await client.request({"op": "flush"})
+            assert flushed["processed"] == 32
+            assert _backend_threads() == []
+            await client.close()
+        return loop_thread
+
+    loop_thread = asyncio.run(asyncio.wait_for(main(), TIMEOUT))
+    assert {method for method, _ in calls} == {"ingest", "snapshot", "close"}
+    assert {name for _, name in calls} == {loop_thread}
+
+
+def test_loop_answers_queries_between_backlogged_batches():
+    """Counting on the loop, the flusher yields after every batch, so a
+    query that arrives behind a backlog is answered before the backlog
+    has drained, not after it.  The client runs on its own thread: one
+    sharing the loop could only send while the flusher yields."""
+    def client(port):
+        address = ("127.0.0.1", port)
+        with socket.create_connection(address, TIMEOUT) as ingest, \
+                socket.create_connection(address, TIMEOUT) as query:
+            acks, answers = ingest.makefile("rb"), query.makefile("rb")
+            frame = json.dumps({"op": "ingest", "events": [1] * 8})
+            ingest.sendall((frame + "\n").encode() * 4)
+            assert json.loads(acks.readline())["ok"]
+            query.sendall(b'{"op": "query", "kind": "point", "element": 1}\n')
+            answer = json.loads(answers.readline())
+            for _ in range(3):
+                assert json.loads(acks.readline())["ok"]
+            return answer
+
+    async def main():
+        config = ServeConfig(
+            port=0, engine=EngineSpec("sequential", capacity=32),
+            batch_events=8,
+        )
+        async with StreamServer(config) as server:
             real_ingest = server._backend.ingest
 
             def slow_ingest(batch):
-                time.sleep(0.02)
+                time.sleep(0.05)
                 real_ingest(batch)
 
             server._backend.ingest = slow_ingest
-            client = await _Client.connect(server.port)
-            frames = 20
-            for i in range(frames):
-                reply = await client.request({
-                    "op": "ingest",
-                    "events": ["f%d-%d" % (i, j) for j in range(5)],
-                })
-                assert reply["ok"], reply
-            flushed = await client.request({"op": "flush"})
-            stats = (await client.request({"op": "stats"}))["stats"]
-            assert flushed["processed"] == stats["accepted_events"] == 100
-            await client.close()
-        histograms = metrics.snapshot()["histograms"]
-        assert histograms["serve.batch.flush_seconds"]["count"] < frames
-        fill = histograms["serve.batch.fill"]
-        assert fill["buckets"][-1] == config.batch_events
-        assert fill["counts"][-1] == 0          # nothing over batch_events
-        assert fill["sum"] == 100
-        freshness = histograms["serve.freshness.ack_to_visible_seconds"]
-        assert freshness["count"] == frames
+            answer = await asyncio.to_thread(client, server.port)
+            assert answer["ok"] and answer["processed"] < 32, answer
+            control = await _Client.connect(server.port)
+            flushed = await control.request({"op": "flush"})
+            assert flushed["processed"] == 32
+            await control.close()
 
     _run(main())
+
+
+def test_blocking_engine_answers_queries_while_its_snapshot_waits():
+    """A blocking engine runs every backend call on its one backend
+    thread, so a query is answered while a ``snapshot`` there is held.
+    Were the engine moved onto the loop, the held snapshot would stall
+    the loop until its 5 s hold timed out, and the query could only be
+    answered after it."""
+    held = threading.Event()
+    entered = threading.Event()
+    timed_out = []
+    calls = []
+
+    async def main():
+        config = ServeConfig(
+            port=0, engine=EngineSpec("cots-sim", capacity=32),
+            batch_events=8,
+        )
+        async with StreamServer(config) as server:
+            assert server._executor is not None
+            _record_threads(server._backend, calls)
+            noted_snapshot = server._backend.snapshot
+
+            def held_snapshot():
+                entered.set()
+                timed_out.append(not held.wait(5.0))
+                return noted_snapshot()
+
+            server._backend.snapshot = held_snapshot
+            writer = await _Client.connect(server.port)
+            reader = await _Client.connect(server.port)
+            reply = await writer.request({"op": "ingest", "events": [1] * 8})
+            assert reply["ok"], reply
+            flush = asyncio.create_task(writer.request({"op": "flush"}))
+            while not entered.is_set():
+                await asyncio.sleep(0.001)
+            answer = await asyncio.wait_for(
+                reader.request({"op": "query", "kind": "topk", "k": 3}), 2.0
+            )
+            assert answer["ok"], answer
+            held.set()
+            flushed = await flush
+            assert flushed["processed"] == 8
+            assert len(_backend_threads()) == 1
+            await writer.close()
+            await reader.close()
+
+    _run(main())
+    assert timed_out and not any(timed_out)
+    assert {method for method, _ in calls} == {"ingest", "snapshot", "close"}
+    threads = {name for _, name in calls}
+    assert len(threads) == 1 and threads.pop().startswith("serve-backend")
 
 
 def test_snapshots_take_a_bounded_share_of_wall_time():
